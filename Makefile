@@ -13,10 +13,10 @@ build:
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/obs ./internal/runner ./internal/gpusim ./internal/serve ./internal/serve/client ./internal/serve/cluster ./internal/serve/jobs ./internal/serve/rooms ./internal/tracestore ./internal/ecc/bitslice ./internal/reliability
+	$(GO) test -race ./internal/obs ./internal/runner ./internal/gpusim ./internal/serve ./internal/serve/cellplan ./internal/serve/client ./internal/serve/cluster ./internal/serve/jobs ./internal/serve/rooms ./internal/tracestore ./internal/ecc/bitslice ./internal/reliability
 
 race:
-	$(GO) test -race ./internal/imt ./internal/tagalloc ./internal/gpusim ./internal/runner ./internal/obs ./internal/serve ./internal/serve/client ./internal/serve/cluster ./internal/serve/jobs ./internal/serve/rooms ./internal/tracestore ./internal/ecc/bitslice ./internal/reliability ./internal/security
+	$(GO) test -race ./internal/imt ./internal/tagalloc ./internal/gpusim ./internal/runner ./internal/obs ./internal/serve ./internal/serve/cellplan ./internal/serve/client ./internal/serve/cluster ./internal/serve/jobs ./internal/serve/rooms ./internal/tracestore ./internal/ecc/bitslice ./internal/reliability ./internal/security
 
 bench:
 	$(GO) test -bench=. -benchmem .

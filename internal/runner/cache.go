@@ -42,8 +42,8 @@ type cacheID struct {
 }
 
 // cacheKeyFor hashes the canonical key material for a cell. cfg must
-// already carry the cell's Mode and Carve (see Engine.cellConfig and the
-// exported CacheKeyFor). It is the single key implementation shared by
+// already carry the cell's Mode, Carve and sampling interval (see
+// jobConfig). It is the single key implementation shared by
 // the engine and the exported CacheKey/CacheKeyFor helpers, so key
 // equality is cache-hit behavior by construction.
 func cacheKeyFor(cfg gpusim.Config, job Job) string {

@@ -19,14 +19,13 @@ import (
 // exact key a shard with the open replay computes.
 //
 // cfg's Mode and Carve are ignored, mirroring Engine semantics: the
-// job's own Mode and Carve are applied on top of cfg before hashing.
+// job's own Mode, Carve and non-zero SampleInterval are applied on top
+// of cfg before hashing.
 func CacheKeyFor(cfg gpusim.Config, job Job) (string, bool) {
 	if job.Traces != nil && job.Key == "" {
 		return "", false
 	}
-	cfg.Mode = job.Mode
-	cfg.Carve = job.Carve
-	return cacheKeyFor(cfg, job), true
+	return cacheKeyFor(jobConfig(cfg, job), job), true
 }
 
 // CacheKey is the common-case CacheKeyFor: the cache identity of a

@@ -100,7 +100,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 		t.Error("cycle cap did not change the key")
 	}
 
-	// cfg's own Mode/Carve are ignored, mirroring Engine.cellConfig.
+	// cfg's own Mode/Carve are ignored, mirroring jobConfig.
 	dirty := cfg
 	dirty.Mode, dirty.Carve = gpusim.ModeCarveOut, gpusim.CarveOutHigh
 	if k := CacheKey(dirty, w, gpusim.ModeNone, gpusim.CarveOut{}); k != base {

@@ -31,12 +31,16 @@ func TestOnSampleLiveForwarding(t *testing.T) {
 
 	var mu sync.Mutex
 	byCell := map[string][]LiveSample{}
-	eng := New(cfg, Options{Workers: 2, OnSample: func(ls LiveSample) {
+	sink := func(ls LiveSample) {
 		mu.Lock()
 		byCell[ls.Cell] = append(byCell[ls.Cell], ls)
 		mu.Unlock()
-	}})
-	observed, err := eng.Run(context.Background(), jobs)
+	}
+	watched := append([]Job(nil), jobs...)
+	for i := range watched {
+		watched[i].OnSample = sink
+	}
+	observed, err := New(cfg, Options{Workers: 2}).Run(context.Background(), watched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +87,10 @@ func TestOnSampleCachedCellsSilent(t *testing.T) {
 		t.Fatal(err)
 	}
 	fired := 0
-	eng := New(cfg, Options{Workers: 1, CacheDir: dir, OnSample: func(LiveSample) { fired++ }})
-	res, err := eng.Run(context.Background(), jobs)
+	for i := range jobs {
+		jobs[i].OnSample = func(LiveSample) { fired++ }
+	}
+	res, err := New(cfg, Options{Workers: 1, CacheDir: dir}).Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,5 +101,42 @@ func TestOnSampleCachedCellsSilent(t *testing.T) {
 	}
 	if fired != 0 {
 		t.Fatalf("cached cells fired OnSample %d times, want 0", fired)
+	}
+}
+
+// TestJobSampleInterval: a job's own SampleInterval is the same cell as
+// the engine configured with that interval — same cache key, same
+// stats, same sample series — so one engine can serve sampled and
+// unsampled cells alike.
+func TestJobSampleInterval(t *testing.T) {
+	job := tinyJobs(1)[1]
+	base := gpusim.DefaultConfig()
+	sampled := base
+	sampled.SampleInterval = 500
+
+	want, _ := CacheKeyFor(sampled, job)
+	perJob := job
+	perJob.SampleInterval = 500
+	if got, _ := CacheKeyFor(base, perJob); got != want {
+		t.Fatalf("per-job interval keys as %s, engine-level interval as %s", got, want)
+	}
+	unsampled, _ := CacheKeyFor(base, job)
+	if unsampled == want {
+		t.Fatal("the sampling interval did not enter the cache key")
+	}
+
+	a, err := New(sampled, Options{Workers: 1}).Run(context.Background(), []Job{job})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(base, Options{Workers: 1}).Run(context.Background(), []Job{perJob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b[0].Stats.Samples) == 0 {
+		t.Fatal("per-job interval recorded no samples")
+	}
+	if !reflect.DeepEqual(statsOf(t, a), statsOf(t, b)) {
+		t.Error("per-job interval simulated differently from the engine-level interval")
 	}
 }

@@ -14,14 +14,27 @@ import (
 )
 
 // Job is one simulation cell: a workload under one tagging configuration.
-// The engine's base gpusim.Config supplies the machine; the job's Mode
-// and Carve are applied on top of it.
+// The engine's base gpusim.Config supplies the machine; the job's Mode,
+// Carve and (when non-zero) SampleInterval are applied on top of it.
 type Job struct {
 	Workload workload.Workload
 	Mode     gpusim.TagMode
 	Carve    gpusim.CarveOut
 	// MaxCycles caps the simulation (0 = gpusim's default guard).
 	MaxCycles uint64
+	// SampleInterval, when non-zero, overrides the machine's phase-
+	// telemetry sampling interval for this cell. Like Mode and Carve it
+	// is part of the simulated configuration, so it enters the cache key.
+	SampleInterval uint64
+	// OnSample, when non-nil, receives every phase-telemetry sample of
+	// this cell live, tagged with the cell's name and cache key (the
+	// gpusim.Config.OnSample hook, plumbed). It fires only when the cell
+	// is actually simulated with a non-zero sampling interval; a cache
+	// hit resolves without simulating and emits nothing. The callback
+	// runs on the simulation goroutine, so a slow callback slows its
+	// cell: live-streaming sinks hand off immediately (see
+	// internal/serve/rooms).
+	OnSample func(LiveSample)
 
 	// Traces optionally overrides the workload's trace generator (e.g. a
 	// recorded trace replay); it is called once per simulation and must
@@ -133,17 +146,6 @@ type Options struct {
 	// engine counter tracks in Obs.Trace, and the per-cell log consumed
 	// by run manifests.
 	Obs *obs.Hub
-	// OnSample, when non-nil, receives every phase-telemetry sample of
-	// every cell the engine actually simulates, live, tagged with the
-	// cell's name and cache key (the gpusim.Config.OnSample hook,
-	// plumbed). It fires only for cells run with a non-zero
-	// SampleInterval; cached cells resolve without simulating and emit
-	// nothing. The callback runs on the simulation goroutine — with
-	// Workers > 1 it is invoked concurrently from several goroutines
-	// and must be safe for that; a slow callback slows its cell, so
-	// live-streaming sinks hand off immediately (see
-	// internal/serve/rooms).
-	OnSample func(LiveSample)
 }
 
 // Engine runs simulation cells over a fixed machine configuration.
@@ -329,7 +331,7 @@ func (e *Engine) runJob(ctx context.Context, job Job) Result {
 	if job.Traces == nil || job.Key != "" {
 		// The content identity exists whether or not a cache directory
 		// is configured; the live-sample sink tags frames with it.
-		key = cacheKeyFor(e.cellConfig(job), job)
+		key = cacheKeyFor(jobConfig(e.cfg, job), job)
 	}
 	if cacheable {
 		if st, ok := e.cache.load(key); ok {
@@ -356,18 +358,21 @@ func (e *Engine) runJob(ctx context.Context, job Job) Result {
 	return res
 }
 
-// cellConfig is the engine configuration with the job's tagging applied.
-func (e *Engine) cellConfig(job Job) gpusim.Config {
-	cfg := e.cfg
-	cfg.Mode = job.Mode
-	cfg.Carve = job.Carve
-	return cfg
+// jobConfig is the machine configuration job simulates under: base
+// with the job's tagging and sampling interval applied.
+func jobConfig(base gpusim.Config, job Job) gpusim.Config {
+	base.Mode = job.Mode
+	base.Carve = job.Carve
+	if job.SampleInterval != 0 {
+		base.SampleInterval = job.SampleInterval
+	}
+	return base
 }
 
 // simulate runs one cell, converting panics into cell errors so a
 // pathological (workload, mode) pair cannot take down the whole sweep.
 // key is the cell's content identity ("" when it has none); it tags
-// the live samples forwarded to Options.OnSample.
+// the live samples forwarded to Job.OnSample.
 func (e *Engine) simulate(ctx context.Context, job Job, key string) (st gpusim.Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -378,8 +383,8 @@ func (e *Engine) simulate(ctx context.Context, job Job, key string) (st gpusim.S
 			err = fmt.Errorf("runner: %s/%s panicked: %v", job.Workload.Name, job.Mode, r)
 		}
 	}()
-	cfg := e.cellConfig(job)
-	if sink := e.opts.OnSample; sink != nil {
+	cfg := jobConfig(e.cfg, job)
+	if sink := job.OnSample; sink != nil {
 		name := job.Name()
 		seq := 0
 		cfg.OnSample = func(smp gpusim.Sample) {

@@ -10,14 +10,14 @@ import (
 	"repro/internal/serve/apitypes"
 )
 
-func sweepCells(t *testing.T, h http.Handler, body string) ([]CellResult, SweepSummary) {
+func sweepCells(t *testing.T, h http.Handler, body string) ([]apitypes.CellResult, apitypes.SweepSummary) {
 	t.Helper()
 	rec := post(t, h, "/v1/sweep", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("sweep = %d: %s", rec.Code, rec.Body.String())
 	}
-	var cells []CellResult
-	var summary SweepSummary
+	var cells []apitypes.CellResult
+	var summary apitypes.SweepSummary
 	sc := bufio.NewScanner(rec.Body)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
@@ -33,7 +33,7 @@ func sweepCells(t *testing.T, h http.Handler, body string) ([]CellResult, SweepS
 			}
 			continue
 		}
-		var cell CellResult
+		var cell apitypes.CellResult
 		if err := json.Unmarshal(line, &cell); err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestSweepExplicitCells(t *testing.T) {
 		t.Fatalf("got %d cells, summary %+v; want 2 clean cells", len(cells), summary)
 	}
 	want := map[apitypes.CellRef]bool{
-		{Workload: "stream-copy-16MB", Mode: "imt"}:    true,
+		{Workload: "stream-copy-16MB", Mode: "imt"}:   true,
 		{Workload: "stream-scale-16MB", Mode: "none"}: true,
 	}
 	for _, c := range cells {
@@ -87,8 +87,8 @@ func TestSweepCellsBadRequests(t *testing.T) {
 	s := mustNew(t, Options{Workers: 1})
 	h := s.Handler()
 	for name, body := range map[string]string{
-		"unknown cell workload": `{"cells":[{"workload":"nope","mode":"imt"}]}`,
-		"unknown cell mode":     `{"cells":[{"workload":"stream-copy-16MB","mode":"quantum"}]}`,
+		"unknown cell workload":      `{"cells":[{"workload":"nope","mode":"imt"}]}`,
+		"unknown cell mode":          `{"cells":[{"workload":"stream-copy-16MB","mode":"quantum"}]}`,
 		"cells with no mode product": `{"workloads":["stream-copy-16MB"],"cells":[{"workload":"stream-copy-16MB","mode":"imt"}]}`,
 	} {
 		t.Run(name, func(t *testing.T) {

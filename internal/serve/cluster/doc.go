@@ -18,14 +18,16 @@
 //
 // # Scatter and merge
 //
-// A sweep is expanded to its cell grid locally (the gateway embeds the
-// same workload catalog as the shards), grouped by owning shard, and
-// scattered as one POST /v1/sweep per shard carrying an explicit cell
-// list (SweepRequest.Cells — a shard's subset of a grid is never a
-// clean workloads × modes product). The per-shard NDJSON streams are
-// merged in completion order into a single client stream, ending in
-// one done:true summary. The merge deduplicates by cell identity, so
-// the client sees every cell exactly once regardless of shard
+// The gateway's request path is the shard's own: a serve.Frontend
+// decodes, validates and expands requests with serve/cellplan, so a
+// sweep expands to exactly the cells a shard would run. Underneath it
+// the gateway's executor (remote) groups the cells by owning shard and
+// scatters one POST /v1/sweep per shard carrying an explicit cell list
+// (SweepRequest.Cells — a shard's subset of a grid is never a clean
+// workloads × modes product). The front end merges the per-shard
+// NDJSON streams in completion order into a single client stream,
+// ending in one done:true summary, and deduplicates by cell identity,
+// so the client sees every cell exactly once regardless of shard
 // failures.
 //
 // # Failure handling

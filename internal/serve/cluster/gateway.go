@@ -2,23 +2,20 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/gpusim"
 	"repro/internal/obs"
 	"repro/internal/runner"
+	"repro/internal/serve"
 	"repro/internal/serve/apitypes"
+	"repro/internal/serve/cellplan"
 	"repro/internal/serve/client"
-	"repro/internal/tracestore"
-	"repro/internal/workload"
 )
 
 // Options configures a Gateway.
@@ -67,15 +64,6 @@ func (o Options) withDefaults() Options {
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = 2 * time.Second
 	}
-	if o.DefaultTimeout <= 0 {
-		o.DefaultTimeout = 30 * time.Second
-	}
-	if o.MaxTimeout <= 0 {
-		o.MaxTimeout = 5 * time.Minute
-	}
-	if o.MaxSweepCells <= 0 {
-		o.MaxSweepCells = 4096
-	}
 	if o.StatszTimeout <= 0 {
 		o.StatszTimeout = 2 * time.Second
 	}
@@ -95,17 +83,19 @@ func (o Options) withDefaults() Options {
 // consistent-hashes cells across the fleet on their runner cache keys,
 // scatters sweep grids as per-shard POST /v1/sweep cell lists, merges
 // the shards' NDJSON streams in completion order into one client
-// stream, and reroutes cells off shards that fail mid-flight. Construct
-// with New, mount Handler, stop with Close.
+// stream, and reroutes cells off shards that fail mid-flight. The /v1
+// request path itself is the shard's serve.Frontend over a remote
+// executor, so a gateway accepts, plans and streams exactly as a shard
+// does. Construct with New, mount Handler, stop with Close.
 type Gateway struct {
 	opts     Options
 	hub      *obs.Hub
+	fe       *serve.Frontend
+	plan     *cellplan.Plan
 	ring     *Ring
 	pool     *client.Pool
 	shards   []*shardState
 	byURL    map[string]*shardState
-	byName   map[string]workload.Workload
-	draining atomic.Bool
 	started  time.Time
 	manifest obs.Manifest
 
@@ -113,8 +103,6 @@ type Gateway struct {
 	probeWG   sync.WaitGroup
 	closeOnce sync.Once
 
-	mRequests      *obs.Counter
-	mCells         *obs.Counter
 	mTracePushes   *obs.Counter
 	mRerouted      *obs.Counter
 	mShardErrors   *obs.Counter
@@ -122,7 +110,6 @@ type Gateway struct {
 	mProbes        *obs.Counter
 	mProbeFailures *obs.Counter
 	mShardsUp      *obs.Gauge
-	mLatency       *obs.HistogramVec
 }
 
 // New builds a gateway over opts.Shards and starts its background
@@ -140,30 +127,37 @@ func New(opts Options) (*Gateway, error) {
 		ring:      ring,
 		pool:      opts.Pool,
 		byURL:     make(map[string]*shardState),
-		byName:    make(map[string]workload.Workload),
 		started:   time.Now(),
 		stopProbe: make(chan struct{}),
 	}
-	for _, w := range workload.Catalog() {
-		g.byName[w.Name] = w
-	}
+	// Cache keys, and therefore routing, are computed under the fleet's
+	// machine config. Trace residency is the shards' concern: a missing
+	// blob surfaces as trace_not_found and is pushed over (ensureTrace).
+	g.plan = cellplan.New(cellplan.Options{Config: opts.Config, MaxCells: opts.MaxSweepCells})
 	for _, url := range ring.Shards() {
 		ss := &shardState{url: url, br: newBreaker()}
 		g.shards = append(g.shards, ss)
 		g.byURL[url] = ss
 	}
-	if reg := g.hub.Metrics; reg != nil {
-		g.mRequests = reg.Counter("serve_gw_requests_total", "API requests received by the gateway")
-		g.mCells = reg.Counter("serve_gw_cells_total", "cells delivered to clients through the gateway")
-		g.mTracePushes = reg.Counter("serve_gw_trace_pushes_total", "trace blobs pushed shard-to-shard after a trace_not_found miss")
-		g.mRerouted = reg.Counter("serve_gw_rerouted_total", "cells rerouted to another shard after a shard failure")
-		g.mShardErrors = reg.Counter("serve_gw_shard_errors_total", "shard request/stream failures observed by the gateway")
-		g.mBreakerOpens = reg.Counter("serve_gw_breaker_opens_total", "shard breaker transitions to open")
-		g.mProbes = reg.Counter("serve_gw_probes_total", "shard health probes sent")
-		g.mProbeFailures = reg.Counter("serve_gw_probe_failures_total", "shard health probes that failed")
-		g.mShardsUp = reg.Gauge("serve_gw_shards_up", "shards currently routable (breaker not open)")
-		g.mLatency = reg.HistogramVec("serve_gw_request_seconds", "route", "gateway end-to-end request latency by route", obs.DurationBuckets)
+	reg := g.hub.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry() // the counters behind Stats, unexported
 	}
+	g.mTracePushes = reg.Counter("serve_gw_trace_pushes_total", "trace blobs pushed shard-to-shard after a trace_not_found miss")
+	g.mRerouted = reg.Counter("serve_gw_rerouted_total", "cells rerouted to another shard after a shard failure")
+	g.mShardErrors = reg.Counter("serve_gw_shard_errors_total", "shard request/stream failures observed by the gateway")
+	g.mBreakerOpens = reg.Counter("serve_gw_breaker_opens_total", "shard breaker transitions to open")
+	g.mProbes = reg.Counter("serve_gw_probes_total", "shard health probes sent")
+	g.mProbeFailures = reg.Counter("serve_gw_probe_failures_total", "shard health probes that failed")
+	g.mShardsUp = reg.Gauge("serve_gw_shards_up", "shards currently routable (breaker not open)")
+	g.fe = serve.NewFrontend(serve.FrontendOptions{
+		Exec:           remote{g},
+		Plan:           g.plan,
+		DefaultTimeout: opts.DefaultTimeout,
+		MaxTimeout:     opts.MaxTimeout,
+		Metrics:        reg,
+		Prefix:         "serve_gw",
+	})
 	g.manifest = obs.NewManifest("imtgw", struct {
 		Shards   []string
 		Replicas int
@@ -182,7 +176,7 @@ func (g *Gateway) Ring() *Ring { return g.ring }
 
 // SetDraining flips the gateway into (or out of) drain mode: new work
 // is refused with 503 + Retry-After while in-flight streams complete.
-func (g *Gateway) SetDraining(v bool) { g.draining.Store(v) }
+func (g *Gateway) SetDraining(v bool) { g.fe.SetDraining(v) }
 
 // Close stops the background prober and drops idle shard connections.
 // Idempotent.
@@ -212,18 +206,19 @@ func (g *Gateway) Close() {
 // directly.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sim", g.handleSim)
-	mux.HandleFunc("POST /v1/sweep", g.handleSweep)
-	mux.HandleFunc("POST /v1/traces", g.handleTraceUpload)
-	mux.HandleFunc("GET /v1/traces", g.handleTraceList)
-	mux.HandleFunc("GET /v1/traces/{digest}", g.handleTraceGet)
-	mux.HandleFunc("DELETE /v1/traces/{digest}", g.handleTraceDelete)
-	mux.HandleFunc("GET /v1/workloads", g.handleWorkloads)
-	mux.HandleFunc("GET /v1/statsz", g.handleStatsz)
+	g.fe.Mount(mux)
+	api := g.fe.Route
+	mux.HandleFunc("POST /v1/traces", api("traces", g.handleTraceUpload))
+	mux.HandleFunc("GET /v1/traces", api("traces", g.handleTraceList))
+	mux.HandleFunc("GET /v1/traces/{digest}", api("traces", g.handleTraceGet))
+	mux.HandleFunc("DELETE /v1/traces/{digest}", api("traces", g.handleTraceDelete))
+	mux.HandleFunc("GET /v1/statsz", api("statsz", g.handleStatsz))
 	mux.HandleFunc("GET /v1/healthz", g.handleHealthz)
-	mux.HandleFunc("/v1/jobs", g.handleShardScoped)
-	mux.HandleFunc("/v1/jobs/", g.handleShardScoped)
-	mux.HandleFunc("/v1/watch/", g.handleShardScoped)
+	shardScoped := g.fe.Refuse(http.StatusNotFound, apitypes.CodeNotFound,
+		"cluster: jobs and watch rooms are shard-scoped; address an imtd shard directly")
+	mux.HandleFunc("/v1/jobs", shardScoped)
+	mux.HandleFunc("/v1/jobs/", shardScoped)
+	mux.HandleFunc("/v1/watch/", shardScoped)
 	if g.opts.Debug {
 		dbg := obs.DebugMux(g.hub.Metrics)
 		mux.Handle("/debug/", dbg)
@@ -233,125 +228,14 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// gwCell is one routed cell: its wire identity plus the runner cache
-// key it hashes to the ring with. digest is set for trace-backed cells
-// ("trace:<digest>" workloads), enabling the push-on-miss fallback.
-type gwCell struct {
-	ref    apitypes.CellRef
-	key    string
-	digest string
-}
-
-// resolveCell validates one cell against the local catalog and mode
-// table and computes its cache key — the identical bytes every shard
-// hashes, so gateway routing and shard caching can never disagree. A
-// trace:<digest> cell is keyed by its trace identity alone (the
-// gateway never holds the blob): runner.CacheKeyFor computes the same
-// key from Job.Key that a shard computes with the replay attached, so
-// trace cells route to the shard whose cache (and trace store) already
-// holds them.
-func (g *Gateway) resolveCell(name, mode string, maxCycles, sampleInterval uint64) (gwCell, error) {
-	tm, carve, err := gpusim.ParseTagMode(mode)
-	if err != nil {
-		return gwCell{}, err
-	}
-	cfg := g.opts.Config
-	cfg.SampleInterval = sampleInterval
-	job := runner.Job{
-		Mode:      tm,
-		Carve:     carve,
-		MaxCycles: maxCycles,
-	}
-	cell := gwCell{ref: apitypes.CellRef{Workload: name, Mode: mode}}
-	if digest, ok := strings.CutPrefix(name, "trace:"); ok {
-		if !tracestore.ValidDigest(digest) {
-			return gwCell{}, fmt.Errorf("cluster: malformed trace workload %q (want trace:<64 lowercase hex sha-256>)", name)
-		}
-		cell.digest = digest
-		job.Key = name
-	} else {
-		w, ok := g.byName[name]
-		if !ok {
-			return gwCell{}, fmt.Errorf("cluster: unknown workload %q (GET /v1/workloads lists the catalog)", name)
-		}
-		job.Workload = w
-	}
-	cell.key, _ = runner.CacheKeyFor(cfg, job)
-	return cell, nil
-}
-
-// expandSweep mirrors the shard-side grid expansion ((workloads ∪
-// suite) × modes plus explicit cells, deduplicated) so the gateway
-// can scatter exactly the cells a single shard would have run.
-func (g *Gateway) expandSweep(req apitypes.SweepRequest) ([]gwCell, error) {
-	var names []string
-	seen := make(map[string]bool)
-	add := func(name string) {
-		if !seen[name] {
-			seen[name] = true
-			names = append(names, name)
-		}
-	}
-	for _, name := range req.Workloads {
-		if _, ok := g.byName[name]; !ok && !strings.HasPrefix(name, "trace:") {
-			return nil, fmt.Errorf("cluster: unknown workload %q", name)
-		}
-		add(name)
-	}
-	if req.Suite != "" {
-		suite := workload.BySuite(req.Suite)
-		if len(suite) == 0 {
-			return nil, fmt.Errorf("cluster: unknown suite %q (valid: %v)", req.Suite, workload.Suites())
-		}
-		for _, w := range suite {
-			add(w.Name)
-		}
-	}
-	if len(names) == 0 && len(req.Cells) == 0 {
-		return nil, errors.New("cluster: sweep needs workloads, a suite, and/or explicit cells")
-	}
-	if len(names) > 0 && len(req.Modes) == 0 {
-		return nil, errors.New("cluster: sweep needs at least one mode")
-	}
-	var cells []gwCell
-	inGrid := make(map[apitypes.CellRef]bool)
-	appendCell := func(name, mode string) error {
-		cell, err := g.resolveCell(name, mode, req.MaxCycles, req.SampleInterval)
-		if err != nil {
-			return err
-		}
-		if !inGrid[cell.ref] {
-			inGrid[cell.ref] = true
-			cells = append(cells, cell)
-		}
-		return nil
-	}
-	for _, name := range names {
-		for _, mode := range req.Modes {
-			if err := appendCell(name, mode); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, ref := range req.Cells {
-		if err := appendCell(ref.Workload, ref.Mode); err != nil {
-			return nil, err
-		}
-	}
-	if len(cells) > g.opts.MaxSweepCells {
-		return nil, fmt.Errorf("cluster: sweep expands to %d cells, gateway cap is %d", len(cells), g.opts.MaxSweepCells)
-	}
-	return cells, nil
-}
-
 // assign groups cells by their first routable shard in ring order.
 // Cells with no routable shard at all land in the second return value.
-func (g *Gateway) assign(cells []gwCell) (map[string][]gwCell, []gwCell) {
-	groups := make(map[string][]gwCell)
-	var unroutable []gwCell
+func (g *Gateway) assign(cells []cellplan.Cell) (map[string][]cellplan.Cell, []cellplan.Cell) {
+	groups := make(map[string][]cellplan.Cell)
+	var unroutable []cellplan.Cell
 	for _, c := range cells {
 		placed := false
-		for _, url := range g.ring.Order(c.key) {
+		for _, url := range g.ring.Order(c.Key) {
 			if g.byURL[url].br.routable() {
 				groups[url] = append(groups[url], c)
 				placed = true
@@ -365,34 +249,27 @@ func (g *Gateway) assign(cells []gwCell) (map[string][]gwCell, []gwCell) {
 	return groups, unroutable
 }
 
-func (g *Gateway) handleSim(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	g.count(g.mRequests)
-	defer g.observeLatency(t0, "sim")
-	if g.rejectDraining(w) {
-		return
-	}
-	req, err := decodeRequest[apitypes.SimRequest](r)
-	if err != nil {
-		g.writeError(w, http.StatusBadRequest, apitypes.CodeBadRequest, err)
-		return
-	}
-	if req.Watch {
-		g.writeError(w, http.StatusBadRequest, apitypes.CodeBadRequest,
-			errors.New("cluster: watch rooms are shard-scoped; submit the watched request to a shard directly"))
-		return
-	}
-	cell, err := g.resolveCell(req.Workload, req.Mode, req.MaxCycles, req.SampleInterval)
-	if err != nil {
-		g.writeError(w, http.StatusBadRequest, apitypes.CodeBadRequest, err)
-		return
-	}
-	ctx, cancel := g.requestContext(r.Context(), req.TimeoutMs, g.opts.DefaultTimeout)
-	defer cancel()
+// errNoShard is the gateway's verdict when every shard is open or has
+// failed the request: 503 draining, the backpressure shape clients
+// already retry.
+var errNoShard = &client.APIError{
+	StatusCode: http.StatusServiceUnavailable,
+	Code:       apitypes.CodeDraining,
+	Message:    "cluster: no healthy shard available",
+	RetryAfter: time.Second,
+}
 
+// remote is the gateway's serve.Executor: cells run on the shard that
+// owns their cache key, with reroute on shard failure and a trace push
+// when the owner lacks a trace blob. Watched requests never reach it —
+// the front end refuses them, since rooms are shard-scoped.
+type remote struct{ *Gateway }
+
+// Sim walks the cell's ring order until a routable shard answers.
+func (g remote) Sim(ctx context.Context, req apitypes.SimRequest, cell cellplan.Cell, _ func(runner.LiveSample)) (apitypes.CellResult, error) {
 	hops := 0
 	ensured := false
-	order := g.ring.Order(cell.key)
+	order := g.ring.Order(cell.Key)
 	for i := 0; i < len(order); i++ {
 		url := order[i]
 		ss := g.byURL[url]
@@ -405,17 +282,15 @@ func (g *Gateway) handleSim(w http.ResponseWriter, r *http.Request) {
 			res.Shard = url
 			res.Rerouted = hops > 0
 			if hops > 0 {
-				g.countN(g.mRerouted, 1)
+				g.mRerouted.Inc()
 			}
-			g.count(g.mCells)
-			writeJSON(w, http.StatusOK, res)
-			return
+			return res, nil
 		}
-		if cell.digest != "" && !ensured && errors.Is(err, client.ErrTraceNotFound) {
+		if cell.Digest != "" && !ensured && errors.Is(err, client.ErrTraceNotFound) {
 			// The ring-preferred shard does not hold the blob (evicted,
 			// fresh shard, or the trace was uploaded elsewhere). Push it
 			// from whichever shard has it and retry the same shard once.
-			if pushErr := g.ensureTrace(ctx, url, cell.digest); pushErr == nil {
+			if pushErr := g.ensureTrace(ctx, url, cell.Digest); pushErr == nil {
 				ensured = true
 				i--
 				continue
@@ -427,16 +302,13 @@ func (g *Gateway) handleSim(w http.ResponseWriter, r *http.Request) {
 			// Semantic failure (4xx, 504, 500): the shard answered; its
 			// verdict stands. Cells are deterministic, so another shard
 			// would fail identically — and a 4xx must never be retried.
-			g.writeShardError(w, err)
-			return
+			return apitypes.CellResult{}, err
 		}
 		g.shardFailed(ss)
 		ss.rerouted.Add(1)
 		hops++
 	}
-	// Every shard is open or failed this request.
-	g.writeError(w, http.StatusServiceUnavailable, apitypes.CodeDraining,
-		errors.New("cluster: no healthy shard available"))
+	return apitypes.CellResult{}, errNoShard
 }
 
 // reroutable: transport failures and shard drains move a cell to
@@ -458,115 +330,35 @@ func reroutable(err error) bool {
 // shardFailed records a request-path failure on ss: breaker opens,
 // counters bump.
 func (g *Gateway) shardFailed(ss *shardState) {
-	g.count(g.mShardErrors)
+	g.mShardErrors.Inc()
 	if ss.br.onFailure() {
-		g.count(g.mBreakerOpens)
+		g.mBreakerOpens.Inc()
 	}
 	g.gaugeShardsUp()
 }
 
-func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	g.count(g.mRequests)
-	defer g.observeLatency(t0, "sweep")
-	if g.rejectDraining(w) {
-		return
+// Sweep scatters the grid: one NDJSON sweep stream per shard carrying
+// exactly that shard's cells. A failed stream's undelivered cells are
+// reassigned to the surviving shards (their lines arrive flagged
+// rerouted); the front end's merge deduplicates by cell identity, so a
+// client sees every cell exactly once however many times a shard died
+// mid-flight.
+func (g remote) Sweep(ctx context.Context, req apitypes.SweepRequest, cells []cellplan.Cell,
+	_ func(cellplan.Cell) func(runner.LiveSample), emitCell func(apitypes.CellResult, error)) {
+	emit := func(res apitypes.CellResult, err error) {
+		if res.Rerouted {
+			g.mRerouted.Inc()
+		}
+		emitCell(res, err)
 	}
-	req, err := decodeRequest[apitypes.SweepRequest](r)
-	if err != nil {
-		g.writeError(w, http.StatusBadRequest, apitypes.CodeBadRequest, err)
-		return
-	}
-	if req.Watch {
-		g.writeError(w, http.StatusBadRequest, apitypes.CodeBadRequest,
-			errors.New("cluster: watch rooms are shard-scoped; submit the watched sweep to a shard directly"))
-		return
-	}
-	cells, err := g.expandSweep(req)
-	if err != nil {
-		g.writeError(w, http.StatusBadRequest, apitypes.CodeBadRequest, err)
-		return
-	}
-	ctx, cancel := g.requestContext(r.Context(), req.TimeoutMs, g.opts.MaxTimeout)
-	defer cancel()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
-	// Scatter: one NDJSON sweep stream per shard carrying exactly that
-	// shard's cells; merge in completion order. A failed stream's
-	// undelivered cells are reassigned to the surviving shards (their
-	// lines arrive flagged rerouted); the merge loop deduplicates by
-	// cell identity so a client sees every cell exactly once no matter
-	// how many times a shard died mid-flight.
-	lines := make(chan apitypes.CellResult, 64)
 	var wg sync.WaitGroup
 	groups, unroutable := g.assign(cells)
 	for url, group := range groups {
 		wg.Add(1)
-		go g.sweepShard(ctx, &wg, lines, url, group, req, 0, false)
+		go g.sweepShard(ctx, &wg, emit, url, group, req, 0, false)
 	}
-	if len(unroutable) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g.failCells(lines, unroutable, 0)
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(lines)
-	}()
-
-	summary := apitypes.SweepSummary{Cells: len(cells)}
-	delivered := make(map[apitypes.CellRef]bool, len(cells))
-	shardsSeen := make(map[string]bool)
-	clientGone := false
-	for res := range lines {
-		ref := apitypes.CellRef{Workload: res.Workload, Mode: res.Mode}
-		if delivered[ref] {
-			continue
-		}
-		delivered[ref] = true
-		if res.Error != "" {
-			summary.Failed++
-		} else {
-			g.count(g.mCells)
-		}
-		if res.Cached {
-			summary.Cached++
-		}
-		if res.Coalesced {
-			summary.Coalesced++
-		}
-		if res.Rerouted {
-			summary.Rerouted++
-			g.countN(g.mRerouted, 1)
-		}
-		if res.Shard != "" {
-			shardsSeen[res.Shard] = true
-		}
-		if clientGone {
-			continue
-		}
-		if err := enc.Encode(res); err != nil {
-			// The client hung up; drain the workers and stop writing.
-			clientGone = true
-			continue
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	summary.Done = true
-	summary.Shards = len(shardsSeen)
-	summary.ElapsedMs = float64(time.Since(t0)) / float64(time.Millisecond)
-	_ = enc.Encode(summary)
-	if flusher != nil {
-		flusher.Flush()
-	}
+	g.failCells(emit, unroutable, 0, errNoShard.Message)
+	wg.Wait()
 }
 
 // sweepShard streams one shard's share of a sweep, forwarding each
@@ -578,10 +370,10 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 // verdict gets one push-and-retry on the same shard (ensured bounds
 // it): the gateway copies the missing blobs over from whichever shard
 // holds them, then resubmits the same cell list.
-func (g *Gateway) sweepShard(ctx context.Context, wg *sync.WaitGroup, lines chan<- apitypes.CellResult, url string, cells []gwCell, req apitypes.SweepRequest, hops int, ensured bool) {
+func (g *Gateway) sweepShard(ctx context.Context, wg *sync.WaitGroup, emit func(apitypes.CellResult, error), url string, cells []cellplan.Cell, req apitypes.SweepRequest, hops int, ensured bool) {
 	defer wg.Done()
 	shardReq := apitypes.SweepRequest{
-		Cells:          refsOf(cells),
+		Cells:          cellplan.Refs(cells),
 		MaxCycles:      req.MaxCycles,
 		SampleInterval: req.SampleInterval,
 		TimeoutMs:      req.TimeoutMs,
@@ -592,24 +384,20 @@ func (g *Gateway) sweepShard(ctx context.Context, wg *sync.WaitGroup, lines chan
 		res.Shard = url
 		res.Rerouted = hops > 0
 		seen[apitypes.CellRef{Workload: res.Workload, Mode: res.Mode}] = true
-		select {
-		case lines <- res:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+		emit(res, nil)
 		return nil
 	})
 	if err == nil {
 		ss.br.onSuccess(false)
 		return
 	}
+	remaining := remainder(cells, seen)
 	if ctx.Err() != nil {
 		// The sweep's own deadline expired; report the remainder as
 		// timed out rather than rerouting against a spent budget.
-		g.failCellsErr(lines, remainder(cells, seen), hops+1, "cluster: sweep deadline exceeded")
+		g.failCells(emit, remaining, hops+1, "cluster: sweep deadline exceeded")
 		return
 	}
-	remaining := remainder(cells, seen)
 	if !ensured && errors.Is(err, client.ErrTraceNotFound) {
 		// The shard rejected the whole cell list because a trace blob is
 		// missing there. Push every trace the group references, then
@@ -623,20 +411,20 @@ func (g *Gateway) sweepShard(ctx context.Context, wg *sync.WaitGroup, lines chan
 		}
 		if pushed {
 			wg.Add(1)
-			go g.sweepShard(ctx, wg, lines, url, remaining, req, hops, true)
+			go g.sweepShard(ctx, wg, emit, url, remaining, req, hops, true)
 			return
 		}
 	}
 	if !reroutable(err) {
 		// The shard answered with a semantic failure (e.g. it rejected
 		// the cell list). Surfacing it per cell keeps the merge exact.
-		g.failCellsErr(lines, remaining, hops, fmt.Sprintf("cluster: shard %s: %v", url, err))
+		g.failCells(emit, remaining, hops, fmt.Sprintf("cluster: shard %s: %v", url, err))
 		return
 	}
 	g.shardFailed(ss)
 	ss.rerouted.Add(uint64(len(remaining)))
 	if hops+1 >= len(g.shards) {
-		g.failCellsErr(lines, remaining, hops+1, fmt.Sprintf("cluster: shard %s: %v (reroute budget exhausted)", url, err))
+		g.failCells(emit, remaining, hops+1, fmt.Sprintf("cluster: shard %s: %v (reroute budget exhausted)", url, err))
 		return
 	}
 	groups, unroutable := g.assign(remaining)
@@ -644,75 +432,45 @@ func (g *Gateway) sweepShard(ctx context.Context, wg *sync.WaitGroup, lines chan
 		wg.Add(1)
 		// ensured resets: the replacement shard may be missing the blob
 		// too, and deserves its own push-and-retry.
-		go g.sweepShard(ctx, wg, lines, nextURL, group, req, hops+1, false)
+		go g.sweepShard(ctx, wg, emit, nextURL, group, req, hops+1, false)
 	}
-	g.failCells(lines, unroutable, hops+1)
+	g.failCells(emit, unroutable, hops+1, errNoShard.Message)
 }
 
 // traceDigests returns the distinct trace digests the cells reference,
 // in first-appearance order.
-func traceDigests(cells []gwCell) []string {
+func traceDigests(cells []cellplan.Cell) []string {
 	var out []string
 	seen := make(map[string]bool)
 	for _, c := range cells {
-		if c.digest != "" && !seen[c.digest] {
-			seen[c.digest] = true
-			out = append(out, c.digest)
+		if c.Digest != "" && !seen[c.Digest] {
+			seen[c.Digest] = true
+			out = append(out, c.Digest)
 		}
 	}
 	return out
 }
 
-// failCells reports cells that could not be placed on any shard.
-func (g *Gateway) failCells(lines chan<- apitypes.CellResult, cells []gwCell, hops int) {
-	g.failCellsErr(lines, cells, hops, "cluster: no healthy shard available")
-}
-
-func (g *Gateway) failCellsErr(lines chan<- apitypes.CellResult, cells []gwCell, hops int, msg string) {
+// failCells reports cells that no shard will deliver.
+func (g *Gateway) failCells(emit func(apitypes.CellResult, error), cells []cellplan.Cell, hops int, msg string) {
 	for _, c := range cells {
-		lines <- apitypes.CellResult{
-			Workload: c.ref.Workload,
-			Mode:     c.ref.Mode,
+		emit(apitypes.CellResult{
+			Workload: c.Ref.Workload,
+			Mode:     c.Ref.Mode,
 			Error:    msg,
 			Rerouted: hops > 0,
-		}
+		}, nil)
 	}
 }
 
-func refsOf(cells []gwCell) []apitypes.CellRef {
-	refs := make([]apitypes.CellRef, len(cells))
-	for i, c := range cells {
-		refs[i] = c.ref
-	}
-	return refs
-}
-
-func remainder(cells []gwCell, seen map[apitypes.CellRef]bool) []gwCell {
-	var rest []gwCell
+func remainder(cells []cellplan.Cell, seen map[apitypes.CellRef]bool) []cellplan.Cell {
+	var rest []cellplan.Cell
 	for _, c := range cells {
-		if !seen[c.ref] {
+		if !seen[c.Ref] {
 			rest = append(rest, c)
 		}
 	}
 	return rest
-}
-
-func (g *Gateway) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
-	cat := workload.Catalog()
-	resp := apitypes.CatalogResponse{
-		Workloads: make([]apitypes.WorkloadInfo, 0, len(cat)),
-		Suites:    workload.Suites(),
-		Modes:     gpusim.TagModeNames(),
-	}
-	for _, wl := range cat {
-		resp.Workloads = append(resp.Workloads, apitypes.WorkloadInfo{
-			Name:           wl.Name,
-			Suite:          wl.Suite,
-			Pattern:        wl.Pattern.String(),
-			FootprintBytes: wl.FootprintBytes,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // Stats assembles the gateway snapshot: every shard's /v1/statsz
@@ -724,7 +482,7 @@ func (g *Gateway) Stats(ctx context.Context) apitypes.GatewaySnapshot {
 	up := time.Since(g.started)
 	snap := apitypes.GatewaySnapshot{
 		StatsSnapshot: apitypes.StatsSnapshot{
-			Draining:      g.draining.Load(),
+			Draining:      g.fe.Draining(),
 			UptimeMs:      float64(up) / float64(time.Millisecond),
 			UptimeSeconds: up.Seconds(),
 			ConfigHash:    g.manifest.ConfigHash,
@@ -788,22 +546,17 @@ func (g *Gateway) Stats(ctx context.Context) apitypes.GatewaySnapshot {
 			snap.Traces.Deletes += st.Traces.Deletes
 		}
 	}
-	if g.mRequests != nil {
-		gw.Requests = g.mRequests.Value()
-		gw.Cells = g.mCells.Value()
-		gw.Rerouted = g.mRerouted.Value()
-		gw.ShardErrors = g.mShardErrors.Value()
-		gw.BreakerOpens = g.mBreakerOpens.Value()
-	}
+	gw.Requests = g.fe.Requests()
+	gw.Cells = g.fe.Cells()
+	gw.Rerouted = g.mRerouted.Value()
+	gw.ShardErrors = g.mShardErrors.Value()
+	gw.BreakerOpens = g.mBreakerOpens.Value()
 	snap.Gateway = &gw
 	return snap
 }
 
 func (g *Gateway) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	g.count(g.mRequests)
-	defer g.observeLatency(t0, "statsz")
-	writeJSON(w, http.StatusOK, g.Stats(r.Context()))
+	serve.WriteJSON(w, http.StatusOK, g.Stats(r.Context()))
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -813,21 +566,16 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			routable++
 		}
 	}
-	if g.draining.Load() || routable == 0 {
+	if g.fe.Draining() || routable == 0 {
 		status := "draining"
 		if routable == 0 {
 			status = "no healthy shards"
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": status, "shards_up": routable})
+		serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": status, "shards_up": routable})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "shards_up": routable})
-}
-
-func (g *Gateway) handleShardScoped(w http.ResponseWriter, _ *http.Request) {
-	g.writeError(w, http.StatusNotFound, apitypes.CodeNotFound,
-		errors.New("cluster: jobs and watch rooms are shard-scoped; address an imtd shard directly"))
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "shards_up": routable})
 }
 
 // Manifest pins this gateway run: fleet identity plus current routing
@@ -835,14 +583,12 @@ func (g *Gateway) handleShardScoped(w http.ResponseWriter, _ *http.Request) {
 func (g *Gateway) Manifest() obs.Manifest {
 	m := g.manifest
 	m.WallSeconds = time.Since(g.started).Seconds()
-	if g.mRequests != nil {
-		m.Counters = map[string]uint64{
-			"requests":      g.mRequests.Value(),
-			"cells":         g.mCells.Value(),
-			"rerouted":      g.mRerouted.Value(),
-			"shard_errors":  g.mShardErrors.Value(),
-			"breaker_opens": g.mBreakerOpens.Value(),
-		}
+	m.Counters = map[string]uint64{
+		"requests":      g.fe.Requests(),
+		"cells":         g.fe.Cells(),
+		"rerouted":      g.mRerouted.Value(),
+		"shard_errors":  g.mShardErrors.Value(),
+		"breaker_opens": g.mBreakerOpens.Value(),
 	}
 	if g.hub.Metrics != nil {
 		snap := g.hub.Metrics.Snapshot()
@@ -853,99 +599,3 @@ func (g *Gateway) Manifest() obs.Manifest {
 
 // retryAfterSeconds mirrors the shard-side backpressure hint.
 const retryAfterSeconds = 1
-
-func (g *Gateway) rejectDraining(w http.ResponseWriter) bool {
-	if !g.draining.Load() {
-		return false
-	}
-	g.writeError(w, http.StatusServiceUnavailable, apitypes.CodeDraining, errors.New("cluster: draining"))
-	return true
-}
-
-func (g *Gateway) requestContext(parent context.Context, timeoutMs int64, fallback time.Duration) (context.Context, context.CancelFunc) {
-	d := fallback
-	if timeoutMs > 0 {
-		d = time.Duration(timeoutMs) * time.Millisecond
-	}
-	if d > g.opts.MaxTimeout {
-		d = g.opts.MaxTimeout
-	}
-	return context.WithTimeout(parent, d)
-}
-
-// writeShardError propagates a shard's own verdict: the APIError's
-// status, envelope code and backoff hint pass through unchanged, so a
-// client cannot tell a gateway-fronted 429/504 from a direct one.
-func (g *Gateway) writeShardError(w http.ResponseWriter, err error) {
-	var apiErr *client.APIError
-	if errors.As(err, &apiErr) {
-		if apiErr.RetryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(int((apiErr.RetryAfter+time.Second-1)/time.Second)))
-		}
-		code := apiErr.Code
-		if code == "" {
-			code = apitypes.CodeInternal
-		}
-		writeJSON(w, apiErr.StatusCode, apitypes.ErrorResponse{Error: apitypes.ErrorBody{
-			Code:         code,
-			Message:      apiErr.Message,
-			RetryAfterMs: apiErr.RetryAfter.Milliseconds(),
-		}})
-		return
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		g.writeError(w, http.StatusGatewayTimeout, apitypes.CodeTimeout, err)
-		return
-	}
-	g.writeError(w, http.StatusInternalServerError, apitypes.CodeInternal, err)
-}
-
-func (g *Gateway) writeError(w http.ResponseWriter, status int, code string, err error) {
-	body := apitypes.ErrorBody{Code: code, Message: err.Error()}
-	switch status {
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		body.RetryAfterMs = retryAfterSeconds * 1000
-	}
-	writeJSON(w, status, apitypes.ErrorResponse{Error: body})
-}
-
-func (g *Gateway) count(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func (g *Gateway) countN(c *obs.Counter, n uint64) {
-	if c != nil {
-		c.Add(n)
-	}
-}
-
-func (g *Gateway) observeLatency(t0 time.Time, route string) {
-	if g.mLatency != nil {
-		g.mLatency.With(route).Observe(time.Since(t0).Seconds())
-	}
-}
-
-// decodeRequest decodes one JSON value with the same hostile-input
-// posture as the shard-side decoder: capped read, unknown fields
-// rejected, trailing data rejected.
-func decodeRequest[T any](r *http.Request) (T, error) {
-	var v T
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, apitypes.MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&v); err != nil {
-		return v, fmt.Errorf("cluster: decoding request: %w", err)
-	}
-	if dec.More() {
-		return v, errors.New("cluster: trailing data after request body")
-	}
-	return v, nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}

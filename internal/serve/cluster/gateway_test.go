@@ -234,7 +234,7 @@ func TestGatewaySweepExactlyOnceAcrossShardKill(t *testing.T) {
 	if err := json.Unmarshal([]byte(sweepBody), &req); err != nil {
 		t.Fatal(err)
 	}
-	cells, err := gw.expandSweep(req)
+	cells, err := gw.plan.ExpandSweep(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,13 +398,13 @@ func TestGatewaySimReroute(t *testing.T) {
 	if err := json.Unmarshal([]byte(sweepBody), &req); err != nil {
 		t.Fatal(err)
 	}
-	cells, err := gw.expandSweep(req)
+	cells, err := gw.plan.ExpandSweep(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range cells {
-		if gw.ring.Owner(c.key) == urls[0] {
-			victimCell, found = c.ref, true
+		if gw.ring.Owner(c.Key) == urls[0] {
+			victimCell, found = c.Ref, true
 			break
 		}
 	}

@@ -7,8 +7,8 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"time"
 
+	"repro/internal/serve"
 	"repro/internal/serve/apitypes"
 	"repro/internal/serve/client"
 )
@@ -26,10 +26,7 @@ import (
 // transport failure mid-upload cannot be retried here — the client
 // re-sends (its own UploadTraceFile does this).
 func (g *Gateway) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	g.count(g.mRequests)
-	defer g.observeLatency(t0, "traces")
-	if g.rejectDraining(w) {
+	if g.fe.RejectDraining(w) {
 		return
 	}
 	for _, ss := range g.shards {
@@ -40,11 +37,11 @@ func (g *Gateway) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			var apiErr *client.APIError
 			if errors.As(err, &apiErr) {
-				g.writeShardError(w, err)
+				g.fe.Fail(w, err) // the shard's own verdict
 				return
 			}
 			g.shardFailed(ss)
-			g.writeError(w, http.StatusBadGateway, apitypes.CodeInternal,
+			g.fe.WriteError(w, http.StatusBadGateway, apitypes.CodeInternal,
 				fmt.Errorf("cluster: upload to shard %s failed mid-stream: %v (re-send the upload)", ss.url, err))
 			return
 		}
@@ -52,20 +49,16 @@ func (g *Gateway) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 		if up.Created {
 			status = http.StatusCreated
 		}
-		writeJSON(w, status, up)
+		serve.WriteJSON(w, status, up)
 		return
 	}
-	g.writeError(w, http.StatusServiceUnavailable, apitypes.CodeDraining,
-		errors.New("cluster: no healthy shard available"))
+	g.fe.Fail(w, errNoShard)
 }
 
 // handleTraceList: GET /v1/traces — the digest-deduplicated union of
 // every routable shard's listing. TotalBytes counts each distinct blob
 // once; QuotaBytes sums the per-shard quotas (the fleet's capacity).
 func (g *Gateway) handleTraceList(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	g.count(g.mRequests)
-	defer g.observeLatency(t0, "traces")
 	type shardList struct {
 		url  string
 		resp apitypes.TraceListResponse
@@ -106,23 +99,20 @@ func (g *Gateway) handleTraceList(w http.ResponseWriter, r *http.Request) {
 			merged.TotalBytes += info.Bytes
 		}
 	}
-	writeJSON(w, http.StatusOK, merged)
+	serve.WriteJSON(w, http.StatusOK, merged)
 }
 
 // handleTraceGet: GET /v1/traces/{digest} — stat (or with ?raw=1
 // stream) the blob from the first shard that holds it.
 func (g *Gateway) handleTraceGet(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	g.count(g.mRequests)
-	defer g.observeLatency(t0, "traces")
 	digest := r.PathValue("digest")
 	url, info, err := g.findTrace(r.Context(), digest)
 	if err != nil {
-		g.writeShardError(w, err)
+		g.fe.Fail(w, err)
 		return
 	}
 	if r.URL.Query().Get("raw") == "" {
-		writeJSON(w, http.StatusOK, info)
+		serve.WriteJSON(w, http.StatusOK, info)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -135,9 +125,6 @@ func (g *Gateway) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 // Any shard's in-use refusal wins with 409 — the trace still exists;
 // otherwise 200 if at least one shard deleted it, 404 if none held it.
 func (g *Gateway) handleTraceDelete(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	g.count(g.mRequests)
-	defer g.observeLatency(t0, "traces")
 	digest := r.PathValue("digest")
 	var deleted *apitypes.TraceInfo
 	var inUseErr error
@@ -155,11 +142,11 @@ func (g *Gateway) handleTraceDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case inUseErr != nil:
-		g.writeError(w, http.StatusConflict, apitypes.CodeTraceInUse, inUseErr)
+		g.fe.WriteError(w, http.StatusConflict, apitypes.CodeTraceInUse, inUseErr)
 	case deleted != nil:
-		writeJSON(w, http.StatusOK, *deleted)
+		serve.WriteJSON(w, http.StatusOK, *deleted)
 	default:
-		g.writeError(w, http.StatusNotFound, apitypes.CodeTraceNotFound,
+		g.fe.WriteError(w, http.StatusNotFound, apitypes.CodeTraceNotFound,
 			fmt.Errorf("cluster: trace %s not found on any shard", digest))
 	}
 }
@@ -178,11 +165,7 @@ func (g *Gateway) findTrace(ctx context.Context, digest string) (string, apitype
 		lastErr = err
 	}
 	if lastErr == nil {
-		lastErr = &client.APIError{
-			StatusCode: http.StatusServiceUnavailable,
-			Code:       apitypes.CodeDraining,
-			Message:    "cluster: no healthy shard available",
-		}
+		lastErr = errNoShard
 	}
 	return "", apitypes.TraceInfo{}, lastErr
 }
@@ -221,7 +204,7 @@ func (g *Gateway) ensureTrace(ctx context.Context, target, digest string) error 
 		if up.Digest != digest {
 			return fmt.Errorf("cluster: trace push digest mismatch: want %s, shard stored %s", digest, up.Digest)
 		}
-		g.count(g.mTracePushes)
+		g.mTracePushes.Inc()
 		return nil
 	}
 	return fmt.Errorf("cluster: trace %.12s… resident on no shard: %w", digest, client.ErrTraceNotFound)

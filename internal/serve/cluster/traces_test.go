@@ -122,11 +122,11 @@ func TestGatewayTracePushOnMiss(t *testing.T) {
 	h := gw.Handler()
 	blob, digest := gwTraceBlob(t, 2)
 
-	cell, err := gw.resolveCell("trace:"+digest, "imt", 0, 0)
+	cell, err := gw.plan.ResolveCell("trace:"+digest, "imt", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	preferred := gw.ring.Order(cell.key)[0]
+	preferred := gw.ring.Order(cell.Key)[0]
 	var source string
 	for _, url := range urls {
 		if url != preferred {
@@ -189,11 +189,11 @@ func TestGatewayTraceSweepPushOnMiss(t *testing.T) {
 	h := gw.Handler()
 	blob, digest := gwTraceBlob(t, 3)
 
-	cell, err := gw.resolveCell("trace:"+digest, "imt", 0, 0)
+	cell, err := gw.plan.ResolveCell("trace:"+digest, "imt", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	preferred := gw.ring.Order(cell.key)[0]
+	preferred := gw.ring.Order(cell.Key)[0]
 	var source string
 	for _, url := range urls {
 		if url != preferred {

@@ -33,11 +33,17 @@
 // depth, coalesce-hit and latency metrics on the shared registry, an
 // optional pprof/expvar debug mux, and an obs.Manifest per server run.
 //
-// The versioned wire types and the uniform JSON error envelope live in
-// serve/apitypes (api.go re-exports aliases and documents the HTTP
-// failure-mapping table); the durable job store and scheduler are the
-// serve/jobs subpackage; the client library (typed errors, retry with
-// jittered backoff honoring Retry-After, job following across
-// restarts) is the serve/client subpackage; cmd/imtd is the daemon and
-// cmd/imtload the load generator / job driver.
+// The request path is written once and shared with the imtgw gateway
+// (serve/cluster). A Frontend decodes requests, applies the drain gate
+// and the deadline clamp, plans cells with serve/cellplan, writes the
+// error envelope (the failure table is in frontend.go), and serves
+// /v1/sim, /v1/sweep and /v1/workloads over an Executor. Server is the
+// local executor: cache, coalescing, admission, engine. The gateway's
+// executor routes the same cells to shards instead.
+//
+// The versioned wire types live in serve/apitypes; the durable job
+// store and scheduler are serve/jobs; the client library (typed
+// errors, retry with jittered backoff honoring Retry-After, job
+// following across restarts) is serve/client; cmd/imtd is the daemon
+// and cmd/imtload the load generator / job driver.
 package serve

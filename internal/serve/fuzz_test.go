@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/serve/apitypes"
 )
 
 // sweepEqual compares requests treating nil and empty slices as the
 // same: omitempty drops an empty workloads list on re-marshal, and the
 // server's grid expansion cannot tell the two apart either.
-func sweepEqual(a, b SweepRequest) bool {
+func sweepEqual(a, b apitypes.SweepRequest) bool {
 	if a.Suite != b.Suite || a.MaxCycles != b.MaxCycles ||
 		a.SampleInterval != b.SampleInterval || a.TimeoutMs != b.TimeoutMs {
 		return false
@@ -32,7 +34,7 @@ func sweepEqual(a, b SweepRequest) bool {
 // decoders. The contract under fuzz:
 //
 //   - never panic, whatever the bytes;
-//   - never allocate beyond the MaxRequestBytes read cap (a hostile
+//   - never allocate beyond the apitypes.MaxRequestBytes read cap (a hostile
 //     Content-Length or endless body cannot balloon the server);
 //   - accepted inputs round-trip: re-marshaling the decoded struct and
 //     decoding again yields the same value, so what the server acts on
@@ -58,52 +60,52 @@ func FuzzServeRequestDecode(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > MaxRequestBytes {
-			data = data[:MaxRequestBytes]
+		if len(data) > apitypes.MaxRequestBytes {
+			data = data[:apitypes.MaxRequestBytes]
 		}
-		if sim, err := DecodeSimRequest(bytes.NewReader(data)); err == nil {
+		if sim, err := decodeRequest[apitypes.SimRequest](bytes.NewReader(data)); err == nil {
 			blob, err := json.Marshal(sim)
 			if err != nil {
-				t.Fatalf("accepted SimRequest does not re-marshal: %v", err)
+				t.Fatalf("accepted apitypes.SimRequest does not re-marshal: %v", err)
 			}
-			again, err := DecodeSimRequest(bytes.NewReader(blob))
+			again, err := decodeRequest[apitypes.SimRequest](bytes.NewReader(blob))
 			if err != nil {
-				t.Fatalf("re-marshaled SimRequest rejected: %v (%s)", err, blob)
+				t.Fatalf("re-marshaled apitypes.SimRequest rejected: %v (%s)", err, blob)
 			}
 			if sim != again {
-				t.Fatalf("SimRequest round-trip drift: %+v vs %+v", sim, again)
+				t.Fatalf("apitypes.SimRequest round-trip drift: %+v vs %+v", sim, again)
 			}
 		}
-		if sw, err := DecodeSweepRequest(bytes.NewReader(data)); err == nil {
+		if sw, err := decodeRequest[apitypes.SweepRequest](bytes.NewReader(data)); err == nil {
 			// Decoding can only have read capped input; its slices are
 			// bounded by the bytes that produced them.
-			if len(sw.Workloads) > MaxRequestBytes || len(sw.Modes) > MaxRequestBytes {
+			if len(sw.Workloads) > apitypes.MaxRequestBytes || len(sw.Modes) > apitypes.MaxRequestBytes {
 				t.Fatalf("decoded slices exceed the input cap: %d workloads, %d modes",
 					len(sw.Workloads), len(sw.Modes))
 			}
 			blob, err := json.Marshal(sw)
 			if err != nil {
-				t.Fatalf("accepted SweepRequest does not re-marshal: %v", err)
+				t.Fatalf("accepted apitypes.SweepRequest does not re-marshal: %v", err)
 			}
-			again, err := DecodeSweepRequest(bytes.NewReader(blob))
+			again, err := decodeRequest[apitypes.SweepRequest](bytes.NewReader(blob))
 			if err != nil {
-				t.Fatalf("re-marshaled SweepRequest rejected: %v (%s)", err, blob)
+				t.Fatalf("re-marshaled apitypes.SweepRequest rejected: %v (%s)", err, blob)
 			}
 			if !sweepEqual(sw, again) {
-				t.Fatalf("SweepRequest round-trip drift: %+v vs %+v", sw, again)
+				t.Fatalf("apitypes.SweepRequest round-trip drift: %+v vs %+v", sw, again)
 			}
 		}
-		if jr, err := DecodeJobRequest(bytes.NewReader(data)); err == nil {
+		if jr, err := decodeRequest[apitypes.JobRequest](bytes.NewReader(data)); err == nil {
 			blob, err := json.Marshal(jr)
 			if err != nil {
-				t.Fatalf("accepted JobRequest does not re-marshal: %v", err)
+				t.Fatalf("accepted apitypes.JobRequest does not re-marshal: %v", err)
 			}
-			again, err := DecodeJobRequest(bytes.NewReader(blob))
+			again, err := decodeRequest[apitypes.JobRequest](bytes.NewReader(blob))
 			if err != nil {
-				t.Fatalf("re-marshaled JobRequest rejected: %v (%s)", err, blob)
+				t.Fatalf("re-marshaled apitypes.JobRequest rejected: %v (%s)", err, blob)
 			}
 			if jr.Tenant != again.Tenant || !sweepEqual(jr.SweepRequest, again.SweepRequest) {
-				t.Fatalf("JobRequest round-trip drift: %+v vs %+v", jr, again)
+				t.Fatalf("apitypes.JobRequest round-trip drift: %+v vs %+v", jr, again)
 			}
 		}
 	})

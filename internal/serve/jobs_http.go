@@ -8,8 +8,8 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/runner"
 	"repro/internal/serve/apitypes"
+	"repro/internal/serve/cellplan"
 	"repro/internal/serve/jobs"
 	"repro/internal/serve/rooms"
 )
@@ -25,83 +25,72 @@ const drainPollInterval = 250 * time.Millisecond
 // durably recorded and picked up by the scheduler, so the 202 response
 // is the JobInfo still in state queued.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	s.count(s.mRequests)
-	defer s.observeLatency(t0, "jobs")
-	if s.rejectDraining(w) {
+	if s.fe.RejectDraining(w) {
 		return
 	}
-	req, err := DecodeJobRequest(r.Body)
+	req, err := decodeRequest[apitypes.JobRequest](r.Body)
+	if err == nil {
+		// The watch default is persisted with the job, so cells resumed
+		// after a restart sample at the same interval.
+		err = s.fe.prepareWatch(req.Watch, &req.SampleInterval)
+	}
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, apitypes.CodeBadRequest, err)
+		s.fe.WriteError(w, http.StatusBadRequest, apitypes.CodeBadRequest, err)
 		return
 	}
-	if req.Watch && req.SampleInterval == 0 {
-		// Persisted with the job, so cells resumed after a restart
-		// sample at the same interval.
-		req.SampleInterval = s.opts.WatchSampleInterval
-	}
-	cells, err := s.expandSweep(req.SweepRequest)
+	cells, err := s.plan.ExpandSweep(req.SweepRequest)
 	if err != nil {
-		status, code := resolveStatus(err)
-		s.writeError(w, status, code, err)
+		s.fe.writePlanError(w, err)
 		return
-	}
-	refs := make([]apitypes.CellRef, len(cells))
-	for i, c := range cells {
-		refs[i] = apitypes.CellRef{Workload: c.name, Mode: c.modeName}
 	}
 	tenant := req.Tenant
 	if tenant == "" {
 		tenant = "default"
 	}
-	info, err := s.jobs.Submit(tenant, req.SweepRequest, refs)
+	info, err := s.jobs.Submit(tenant, req.SweepRequest, cellplan.Refs(cells))
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, apitypes.CodeInternal, err)
+		s.fe.WriteError(w, http.StatusInternalServerError, apitypes.CodeInternal, err)
 		return
 	}
 	if req.Watch {
 		info.WatchRoom = s.roomForJob(info.ID).Code()
 	}
-	writeJSON(w, http.StatusAccepted, info)
+	WriteJSON(w, http.StatusAccepted, info)
 }
 
 // handleJobList: GET /v1/jobs[?tenant=], submission order.
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	s.count(s.mRequests)
 	list := s.jobStore.List(r.URL.Query().Get("tenant"))
 	for i := range list {
 		s.watchRoomForJob(&list[i])
 	}
-	writeJSON(w, http.StatusOK, apitypes.JobListResponse{Jobs: list})
+	WriteJSON(w, http.StatusOK, apitypes.JobListResponse{Jobs: list})
 }
 
 // handleJobGet: GET /v1/jobs/{id} — the polling half of submit/poll.
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	s.count(s.mRequests)
 	info, ok := s.jobStore.Get(r.PathValue("id"))
 	if !ok {
-		s.writeError(w, http.StatusNotFound, apitypes.CodeNotFound, jobs.ErrNotFound)
+		s.fe.WriteError(w, http.StatusNotFound, apitypes.CodeNotFound, jobs.ErrNotFound)
 		return
 	}
 	s.watchRoomForJob(&info)
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 // handleJobCancel: DELETE /v1/jobs/{id}. Canceling a finished job is a
 // no-op that returns its terminal snapshot.
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	s.count(s.mRequests)
 	info, err := s.jobs.Cancel(r.PathValue("id"))
 	if err != nil {
 		if errors.Is(err, jobs.ErrNotFound) {
-			s.writeError(w, http.StatusNotFound, apitypes.CodeNotFound, err)
+			s.fe.WriteError(w, http.StatusNotFound, apitypes.CodeNotFound, err)
 			return
 		}
-		s.writeError(w, http.StatusInternalServerError, apitypes.CodeInternal, err)
+		s.fe.WriteError(w, http.StatusInternalServerError, apitypes.CodeInternal, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 // handleJobStream: GET /v1/jobs/{id}/stream?from=N — NDJSON JobFrames
@@ -110,22 +99,13 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // summary comes early with Done=false, Draining=true and NextSeq as the
 // resume point for the next attach.
 func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	s.count(s.mRequests)
-	defer s.observeLatency(t0, "jobs")
 	id := r.PathValue("id")
-	from := 0
-	if q := r.URL.Query().Get("from"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			s.writeError(w, http.StatusBadRequest, apitypes.CodeBadRequest,
-				errors.New("serve: from must be a non-negative integer"))
-			return
-		}
-		from = n
+	from, ok := s.fromParam(w, r)
+	if !ok {
+		return
 	}
 	if _, ok := s.jobStore.Get(id); !ok {
-		s.writeError(w, http.StatusNotFound, apitypes.CodeNotFound, jobs.ErrNotFound)
+		s.fe.WriteError(w, http.StatusNotFound, apitypes.CodeNotFound, jobs.ErrNotFound)
 		return
 	}
 
@@ -156,7 +136,7 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 			s.writeStreamSummary(enc, flusher, info, next, false)
 			return
 		}
-		if s.draining.Load() {
+		if s.fe.Draining() {
 			s.writeStreamSummary(enc, flusher, info, next, true)
 			return
 		}
@@ -171,8 +151,24 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) writeStreamSummary(enc *json.Encoder, flusher http.Flusher, info JobInfo, next int, draining bool) {
-	_ = enc.Encode(JobStreamSummary{
+// fromParam parses a stream's ?from=N resume point (default 0),
+// answering 400 for anything but a non-negative integer.
+func (s *Server) fromParam(w http.ResponseWriter, r *http.Request) (int, bool) {
+	q := r.URL.Query().Get("from")
+	if q == "" {
+		return 0, true
+	}
+	n, err := strconv.Atoi(q)
+	if err != nil || n < 0 {
+		s.fe.WriteError(w, http.StatusBadRequest, apitypes.CodeBadRequest,
+			errors.New("serve: from must be a non-negative integer"))
+		return 0, false
+	}
+	return n, true
+}
+
+func (s *Server) writeStreamSummary(enc *json.Encoder, flusher http.Flusher, info apitypes.JobInfo, next int, draining bool) {
+	_ = enc.Encode(apitypes.JobStreamSummary{
 		Done:     info.State.Terminal(),
 		State:    info.State,
 		Cells:    info.Cells,
@@ -186,15 +182,6 @@ func (s *Server) writeStreamSummary(enc *json.Encoder, flusher http.Flusher, inf
 	}
 }
 
-// handleJobsDisabled answers every job route when the daemon runs
-// without -jobs-dir: a 404 with a message that says why, so a client
-// pointed at the wrong daemon is not left guessing.
-func (s *Server) handleJobsDisabled(w http.ResponseWriter, _ *http.Request) {
-	s.count(s.mRequests)
-	s.writeError(w, http.StatusNotFound, apitypes.CodeNotFound,
-		errors.New("serve: job queue disabled (start the daemon with -jobs-dir)"))
-}
-
 // runJobCell is the jobs.RunCell the manager drives: one grid cell
 // through the same resolve → cache → coalesce → admission → engine path
 // as an interactive request, under a per-cell deadline. Simulation
@@ -202,38 +189,32 @@ func (s *Server) handleJobsDisabled(w http.ResponseWriter, _ *http.Request) {
 // non-nil error is reserved for abandonment — the manager is stopping
 // or the job was canceled — which leaves the cell pending for resume.
 func (s *Server) runJobCell(ctx context.Context, info apitypes.JobInfo, ref apitypes.CellRef) (apitypes.CellResult, error) {
-	cell, err := s.resolveCell(ref.Workload, ref.Mode, info.Sweep.MaxCycles, info.Sweep.SampleInterval)
+	cell, err := s.plan.ResolveCell(ref.Workload, ref.Mode, info.Sweep.MaxCycles, info.Sweep.SampleInterval)
 	if err != nil {
 		// The grid was validated at submit, so this means the catalog
 		// changed across a restart: a permanent, per-cell failure.
 		return apitypes.CellResult{Workload: ref.Workload, Mode: ref.Mode, Error: err.Error()}, nil
 	}
-	cctx, cancel := s.requestContext(ctx, info.Sweep.TimeoutMs, s.opts.MaxTimeout)
+	cctx, cancel := s.fe.requestContext(ctx, info.Sweep.TimeoutMs, s.fe.opts.MaxTimeout)
 	defer cancel()
-	var sink func(runner.LiveSample)
 	var room *rooms.Room
 	if info.Sweep.Watch {
 		room = s.roomForJob(info.ID)
-		sink = roomSink(room, cellName(cell))
 	}
-	res, err := s.runCell(cctx, cell, true, sink)
+	res, err := s.runCell(cctx, cell, true, roomSink(room, cell))
 	if room != nil {
-		done := res
-		if err != nil {
-			done.Error = err.Error()
-		}
-		publishCellDone(room, done, nil)
+		publishCellDone(room, res, err)
 	}
 	if err != nil {
 		if ctx.Err() != nil {
 			return apitypes.CellResult{}, ctx.Err()
 		}
-		s.countError(err)
+		s.fe.countError(err)
 		res.Error = err.Error()
 		res.Stats = nil
 		return res, nil
 	}
-	s.count(s.mCells)
+	s.fe.mCells.Inc()
 	return res, nil
 }
 

@@ -23,7 +23,7 @@ func del(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 	return rec
 }
 
-func waitJobState(t *testing.T, h http.Handler, id string, want apitypes.JobState) JobInfo {
+func waitJobState(t *testing.T, h http.Handler, id string, want apitypes.JobState) apitypes.JobInfo {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -31,7 +31,7 @@ func waitJobState(t *testing.T, h http.Handler, id string, want apitypes.JobStat
 		if rec.Code != http.StatusOK {
 			t.Fatalf("poll %s: %d %s", id, rec.Code, rec.Body.String())
 		}
-		info := decodeBody[JobInfo](t, rec)
+		info := decodeBody[apitypes.JobInfo](t, rec)
 		if info.State == want {
 			return info
 		}
@@ -46,7 +46,7 @@ func waitJobState(t *testing.T, h http.Handler, id string, want apitypes.JobStat
 }
 
 // streamJob collects a job stream's frames and summary from seq `from`.
-func streamJob(t *testing.T, h http.Handler, id string, from int) ([]JobFrame, JobStreamSummary) {
+func streamJob(t *testing.T, h http.Handler, id string, from int) ([]apitypes.JobFrame, apitypes.JobStreamSummary) {
 	t.Helper()
 	rec := get(t, h, fmt.Sprintf("/v1/jobs/%s/stream?from=%d", id, from))
 	if rec.Code != http.StatusOK {
@@ -55,11 +55,11 @@ func streamJob(t *testing.T, h http.Handler, id string, from int) ([]JobFrame, J
 	if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("stream Content-Type = %q", ct)
 	}
-	var frames []JobFrame
-	var summary JobStreamSummary
+	var frames []apitypes.JobFrame
+	var summary apitypes.JobStreamSummary
 	sawSummary := false
 	sc := bufio.NewScanner(rec.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), MaxRequestBytes)
+	sc.Buffer(make([]byte, 0, 64<<10), apitypes.MaxRequestBytes)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -78,7 +78,7 @@ func streamJob(t *testing.T, h http.Handler, id string, from int) ([]JobFrame, J
 			}
 			continue
 		}
-		var f JobFrame
+		var f apitypes.JobFrame
 		if err := json.Unmarshal(line, &f); err != nil {
 			t.Fatalf("bad frame line %q: %v", line, err)
 		}
@@ -102,7 +102,7 @@ func TestJobLifecycle(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", rec.Code, rec.Body.String())
 	}
-	info := decodeBody[JobInfo](t, rec)
+	info := decodeBody[apitypes.JobInfo](t, rec)
 	if info.ID == "" || info.Tenant != "alice" || info.Cells != 4 || info.State != apitypes.JobQueued {
 		t.Fatalf("submitted = %+v", info)
 	}
@@ -147,7 +147,7 @@ func TestJobLifecycle(t *testing.T) {
 	}
 
 	// statsz carries the job counters.
-	snap := decodeBody[StatsSnapshot](t, get(t, h, "/v1/statsz"))
+	snap := decodeBody[apitypes.StatsSnapshot](t, get(t, h, "/v1/statsz"))
 	if snap.Jobs == nil || snap.Jobs.Submitted != 1 || snap.Jobs.Done != 1 || snap.Jobs.Cells != 4 {
 		t.Fatalf("statsz jobs = %+v", snap.Jobs)
 	}
@@ -175,7 +175,7 @@ func TestJobBadRequests(t *testing.T) {
 			if rec.Code != http.StatusBadRequest {
 				t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 			}
-			e := decodeBody[ErrorResponse](t, rec)
+			e := decodeBody[apitypes.ErrorResponse](t, rec)
 			if e.Error.Code != apitypes.CodeBadRequest || !strings.Contains(e.Error.Message, tc.wantInErr) {
 				t.Errorf("envelope = %+v", e.Error)
 			}
@@ -190,7 +190,7 @@ func TestJobBadRequests(t *testing.T) {
 		if rec.Code != http.StatusNotFound {
 			t.Fatalf("unknown id status = %d", rec.Code)
 		}
-		if e := decodeBody[ErrorResponse](t, rec); e.Error.Code != apitypes.CodeNotFound {
+		if e := decodeBody[apitypes.ErrorResponse](t, rec); e.Error.Code != apitypes.CodeNotFound {
 			t.Errorf("envelope = %+v", e.Error)
 		}
 	}
@@ -198,7 +198,7 @@ func TestJobBadRequests(t *testing.T) {
 	s2 := mustNew(t, Options{Workers: 1, JobsDir: t.TempDir()})
 	defer s2.KillJobs()
 	h2 := s2.Handler()
-	sub := decodeBody[JobInfo](t, post(t, h2, "/v1/jobs", `{"workloads":["stream-copy-16MB"],"modes":["none"]}`))
+	sub := decodeBody[apitypes.JobInfo](t, post(t, h2, "/v1/jobs", `{"workloads":["stream-copy-16MB"],"modes":["none"]}`))
 	if rec := get(t, h2, "/v1/jobs/"+sub.ID+"/stream?from=-1"); rec.Code != http.StatusBadRequest {
 		t.Fatalf("from=-1 status = %d", rec.Code)
 	}
@@ -219,13 +219,13 @@ func TestJobsDisabled(t *testing.T) {
 		if rec.Code != http.StatusNotFound {
 			t.Fatalf("disabled status = %d: %s", rec.Code, rec.Body.String())
 		}
-		e := decodeBody[ErrorResponse](t, rec)
+		e := decodeBody[apitypes.ErrorResponse](t, rec)
 		if e.Error.Code != apitypes.CodeNotFound || !strings.Contains(e.Error.Message, "jobs-dir") {
 			t.Errorf("envelope = %+v", e.Error)
 		}
 	}
 	// statsz omits the jobs section entirely.
-	if snap := decodeBody[StatsSnapshot](t, get(t, h, "/v1/statsz")); snap.Jobs != nil {
+	if snap := decodeBody[apitypes.StatsSnapshot](t, get(t, h, "/v1/statsz")); snap.Jobs != nil {
 		t.Errorf("jobs section present without JobsDir: %+v", snap.Jobs)
 	}
 }
@@ -237,7 +237,7 @@ func TestJobCancelOverHTTP(t *testing.T) {
 	s.simHook = hook.hook
 	h := s.Handler()
 
-	info := decodeBody[JobInfo](t, post(t, h, "/v1/jobs",
+	info := decodeBody[apitypes.JobInfo](t, post(t, h, "/v1/jobs",
 		`{"workloads":["stream-copy-16MB","stream-scale-16MB"],"modes":["imt"]}`))
 	waitEntered(t, hook) // one cell is executing
 
@@ -245,7 +245,7 @@ func TestJobCancelOverHTTP(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("cancel = %d: %s", rec.Code, rec.Body.String())
 	}
-	if got := decodeBody[JobInfo](t, rec); got.State != apitypes.JobCanceled {
+	if got := decodeBody[apitypes.JobInfo](t, rec); got.State != apitypes.JobCanceled {
 		t.Fatalf("after cancel = %+v", got)
 	}
 	close(hook.release)
@@ -266,13 +266,13 @@ func TestJobStreamEndsOnDrain(t *testing.T) {
 	s.simHook = hook.hook
 	h := s.Handler()
 
-	info := decodeBody[JobInfo](t, post(t, h, "/v1/jobs",
+	info := decodeBody[apitypes.JobInfo](t, post(t, h, "/v1/jobs",
 		`{"workloads":["stream-copy-16MB"],"modes":["imt"]}`))
 	waitEntered(t, hook)
 
 	type streamOut struct {
-		frames  []JobFrame
-		summary JobStreamSummary
+		frames  []apitypes.JobFrame
+		summary apitypes.JobStreamSummary
 	}
 	out := make(chan streamOut, 1)
 	go func() {
@@ -302,7 +302,7 @@ func TestJobStreamEndsOnDrain(t *testing.T) {
 // contract promises. Cached/Coalesced/ElapsedMs legitimately differ
 // between a resumed run and an uninterrupted one; the simulated physics
 // must not.
-func canonicalJobLines(t *testing.T, frames []JobFrame) []byte {
+func canonicalJobLines(t *testing.T, frames []apitypes.JobFrame) []byte {
 	t.Helper()
 	lines := make([]string, 0, len(frames))
 	for _, f := range frames {
@@ -335,10 +335,10 @@ func TestJobCrashRestartByteIdentical(t *testing.T) {
 	// Life one: run until at least two cells are done, then die hard.
 	s1 := mustNew(t, Options{Workers: 2, CacheDir: cacheDir, JobsDir: jobsDir})
 	h1 := s1.Handler()
-	info := decodeBody[JobInfo](t, post(t, h1, "/v1/jobs", body))
+	info := decodeBody[apitypes.JobInfo](t, post(t, h1, "/v1/jobs", body))
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		cur := decodeBody[JobInfo](t, get(t, h1, "/v1/jobs/"+info.ID))
+		cur := decodeBody[apitypes.JobInfo](t, get(t, h1, "/v1/jobs/"+info.ID))
 		if cur.DoneCells >= 2 {
 			break
 		}
@@ -385,7 +385,7 @@ func TestJobCrashRestartByteIdentical(t *testing.T) {
 	s3 := mustNew(t, Options{Workers: 2, CacheDir: t.TempDir(), JobsDir: t.TempDir()})
 	defer s3.KillJobs()
 	h3 := s3.Handler()
-	base := decodeBody[JobInfo](t, post(t, h3, "/v1/jobs", body))
+	base := decodeBody[apitypes.JobInfo](t, post(t, h3, "/v1/jobs", body))
 	waitJobState(t, h3, base.ID, apitypes.JobDone)
 	baseFrames, _ := streamJob(t, h3, base.ID, 0)
 
@@ -393,5 +393,27 @@ func TestJobCrashRestartByteIdentical(t *testing.T) {
 	want := canonicalJobLines(t, baseFrames)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed result set differs from uninterrupted baseline:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestJobSubmitDeduplicatesCells: a job stores each (workload, mode)
+// pair of its grid once, exactly like the /v1/sweep it mirrors, so a
+// repeated mode or an explicit cell already in the product is neither
+// run nor counted twice.
+func TestJobSubmitDeduplicatesCells(t *testing.T) {
+	s := mustNew(t, Options{Workers: 2, CacheDir: t.TempDir(), JobsDir: t.TempDir()})
+	defer s.KillJobs()
+	h := s.Handler()
+	rec := post(t, h, "/v1/jobs",
+		`{"workloads":["stream-copy-16MB"],"modes":["none","none"],"cells":[{"workload":"stream-copy-16MB","mode":"none"}]}`)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", rec.Code, rec.Body.String())
+	}
+	info := decodeBody[apitypes.JobInfo](t, rec)
+	if info.Cells != 1 {
+		t.Fatalf("job grid has %d cells, want 1", info.Cells)
+	}
+	if final := waitJobState(t, h, info.ID, apitypes.JobDone); final.DoneCells != 1 || final.FailedCells != 0 {
+		t.Fatalf("final = %+v", final)
 	}
 }

@@ -2,26 +2,21 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/gpusim"
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/serve/apitypes"
+	"repro/internal/serve/cellplan"
 	"repro/internal/serve/jobs"
 	"repro/internal/serve/rooms"
 	"repro/internal/tracestore"
-	"repro/internal/workload"
 )
 
 // Options configures a Server.
@@ -89,15 +84,6 @@ func (o Options) withDefaults() Options {
 	if o.Queue <= 0 {
 		o.Queue = 4 * o.Workers
 	}
-	if o.DefaultTimeout <= 0 {
-		o.DefaultTimeout = 30 * time.Second
-	}
-	if o.MaxTimeout <= 0 {
-		o.MaxTimeout = 5 * time.Minute
-	}
-	if o.MaxSweepCells <= 0 {
-		o.MaxSweepCells = 4096
-	}
 	if o.WatchSampleInterval == 0 {
 		o.WatchSampleInterval = 50000
 	}
@@ -112,16 +98,18 @@ func (o Options) withDefaults() Options {
 
 // Server serves simulation cells over HTTP. Construct with New, obtain
 // the handler with Handler (httptest-friendly), or bind a socket with
-// Listen for the daemon shape.
+// Listen for the daemon shape. The shared /v1 request path is its
+// Frontend; the Server is the Frontend's local Executor plus the
+// shard-scoped resources: jobs, watch rooms and the trace store.
 type Server struct {
 	opts     Options
 	hub      *obs.Hub
+	fe       *Frontend
+	plan     *cellplan.Plan
 	eng      *runner.Engine
 	cache    *runner.Cache
 	adm      *admission
 	flights  flightGroup
-	byName   map[string]workload.Workload
-	draining atomic.Bool
 	started  time.Time
 	manifest obs.Manifest
 	jobStore *jobs.Store
@@ -135,21 +123,15 @@ type Server struct {
 	jobRoomsMu sync.Mutex
 	jobRooms   map[string]*rooms.Room
 
-	mRequests  *obs.Counter
-	mCells     *obs.Counter
 	mCacheHits *obs.Counter
 	mCoalesce  *obs.Counter
-	mRejected  *obs.Counter
-	mTimeouts  *obs.Counter
-	mErrors    *obs.Counter
-	mLatency   *obs.HistogramVec
 	mQueueWait *obs.Histogram
 
 	// simHook, when non-nil, replaces the engine run inside execute —
 	// admission and coalescing still apply. Test seam: lets the suite
 	// hold a slot open or fail deterministically without timing a real
 	// simulation.
-	simHook func(ctx context.Context, cell cellSpec) outcome
+	simHook func(ctx context.Context, cell cellplan.Cell) outcome
 }
 
 // New builds a server. The engine, admission controller and metrics are
@@ -162,34 +144,43 @@ func New(opts Options) (*Server, error) {
 		opts:    opts,
 		hub:     opts.Obs,
 		started: time.Now(),
-		byName:  make(map[string]workload.Workload),
 	}
-	for _, w := range workload.Catalog() {
-		s.byName[w.Name] = w
-	}
-	s.eng = runner.New(opts.Config, s.engineOptions(opts.Config))
+	// One engine serves every cell: each runs as a one-job Run under
+	// serve's own admission control (1 job = 1 worker), and a cell's
+	// sampling interval and live sink ride on its runner.Job.
+	s.eng = runner.New(opts.Config, runner.Options{Workers: 1, CacheDir: opts.CacheDir, Obs: s.hub})
 	if opts.CacheDir != "" {
 		s.cache = runner.OpenCache(opts.CacheDir)
 	}
+	s.plan = cellplan.New(cellplan.Options{
+		Config:     opts.Config,
+		MaxCells:   opts.MaxSweepCells,
+		CheckTrace: s.checkTrace,
+	})
 	reg := s.hub.Metrics
-	s.adm = newAdmission(opts.Workers, opts.Queue, reg)
-	if reg != nil {
-		s.mRequests = reg.Counter("serve_requests_total", "API requests received")
-		s.mCells = reg.Counter("serve_cells_total", "cells served successfully")
-		s.mCacheHits = reg.Counter("serve_cache_hits_total", "cells answered from the result cache")
-		s.mCoalesce = reg.Counter("serve_coalesce_hits_total", "requests that shared another request's in-flight simulation")
-		s.mRejected = reg.Counter("serve_rejected_total", "requests rejected with 429 (queue full)")
-		s.mTimeouts = reg.Counter("serve_timeouts_total", "requests that exceeded their deadline (504)")
-		s.mErrors = reg.Counter("serve_errors_total", "requests that failed with 500")
-		s.mLatency = reg.HistogramVec("serve_request_seconds", "route", "end-to-end request latency by route", obs.DurationBuckets)
-		s.mQueueWait = reg.Histogram("serve_queue_wait_seconds", "time spent waiting for an execution slot", obs.DurationBuckets)
+	if reg == nil {
+		reg = obs.NewRegistry() // the counters behind Stats, unexported
 	}
+	s.adm = newAdmission(opts.Workers, opts.Queue, reg)
+	s.mCacheHits = reg.Counter("serve_cache_hits_total", "cells answered from the result cache")
+	s.mCoalesce = reg.Counter("serve_coalesce_hits_total", "requests that shared another request's in-flight simulation")
+	s.mQueueWait = reg.Histogram("serve_queue_wait_seconds", "time spent waiting for an execution slot", obs.DurationBuckets)
 	s.rooms = rooms.NewRegistry(reg, rooms.Options{
 		Buffer:  opts.RoomBuffer,
 		History: opts.RoomHistory,
 		TTL:     opts.RoomTTL,
 	})
 	s.jobRooms = make(map[string]*rooms.Room)
+	s.fe = NewFrontend(FrontendOptions{
+		Exec:                local{s},
+		Plan:                s.plan,
+		Rooms:               s.rooms,
+		WatchSampleInterval: opts.WatchSampleInterval,
+		DefaultTimeout:      opts.DefaultTimeout,
+		MaxTimeout:          opts.MaxTimeout,
+		Metrics:             reg,
+		Prefix:              "serve",
+	})
 	s.manifest = obs.NewManifest("imtd", struct {
 		Workers, Queue int
 		CacheDir       string
@@ -258,12 +249,23 @@ func (s *Server) traceInUse(digest string) bool {
 	return false
 }
 
-// engineOptions: the engine runs one job per call under serve's own
-// admission control, so its internal worker bound is per-call (1 job =
-// 1 worker) and concurrency is governed entirely by the admission
-// slots.
-func (s *Server) engineOptions(gpusim.Config) runner.Options {
-	return runner.Options{Workers: 1, CacheDir: s.opts.CacheDir, Obs: s.hub}
+// checkTrace is the shard's half of planning a trace:<digest> cell: the
+// store must hold the blob (a wrapped tracestore.ErrNotFound otherwise,
+// the typed 404 a gateway re-uploads on) and its SM streams must fit
+// the machine.
+func (s *Server) checkTrace(digest string) error {
+	if s.traces == nil {
+		return fmt.Errorf("%w: trace store disabled (start the daemon with -trace-dir)", tracestore.ErrNotFound)
+	}
+	info, err := s.traces.Stat(digest)
+	if err != nil {
+		return err
+	}
+	if info.NumSMs > s.opts.Config.NumSMs {
+		return fmt.Errorf("serve: trace %s… carries %d SM streams, machine has %d SMs",
+			digest[:12], info.NumSMs, s.opts.Config.NumSMs)
+	}
+	return nil
 }
 
 // Hub returns the server's observability hub (metrics registry, trace
@@ -288,29 +290,36 @@ func (s *Server) Hub() *obs.Hub { return s.hub }
 // /metrics.json, /debug/vars, /debug/pprof/).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sim", s.handleSim)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
+	s.fe.Mount(mux)
+	api := s.fe.Route
 	if s.jobs != nil {
-		mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
-		mux.HandleFunc("GET /v1/jobs", s.handleJobList)
-		mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
-		mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleJobStream)
-		mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
+		mux.HandleFunc("POST /v1/jobs", api("jobs", s.handleJobSubmit))
+		mux.HandleFunc("GET /v1/jobs", api("", s.handleJobList))
+		mux.HandleFunc("GET /v1/jobs/{id}", api("", s.handleJobGet))
+		mux.HandleFunc("GET /v1/jobs/{id}/stream", api("jobs", s.handleJobStream))
+		mux.HandleFunc("DELETE /v1/jobs/{id}", api("", s.handleJobCancel))
 	} else {
-		mux.HandleFunc("/v1/jobs", s.handleJobsDisabled)
-		mux.HandleFunc("/v1/jobs/", s.handleJobsDisabled)
+		// A 404 that says why, so a client pointed at the wrong daemon is
+		// not left guessing.
+		off := api("", s.fe.Refuse(http.StatusNotFound, apitypes.CodeNotFound,
+			"serve: job queue disabled (start the daemon with -jobs-dir)"))
+		mux.HandleFunc("/v1/jobs", off)
+		mux.HandleFunc("/v1/jobs/", off)
 	}
 	if s.traces != nil {
-		mux.HandleFunc("POST /v1/traces", s.handleTraceUpload)
-		mux.HandleFunc("GET /v1/traces", s.handleTraceList)
-		mux.HandleFunc("GET /v1/traces/{digest}", s.handleTraceGet)
-		mux.HandleFunc("DELETE /v1/traces/{digest}", s.handleTraceDelete)
+		mux.HandleFunc("POST /v1/traces", api("traces", s.handleTraceUpload))
+		mux.HandleFunc("GET /v1/traces", api("", s.handleTraceList))
+		mux.HandleFunc("GET /v1/traces/{digest}", api("", s.handleTraceGet))
+		mux.HandleFunc("DELETE /v1/traces/{digest}", api("", s.handleTraceDelete))
 	} else {
-		mux.HandleFunc("/v1/traces", s.handleTracesDisabled)
-		mux.HandleFunc("/v1/traces/", s.handleTracesDisabled)
+		// The typed trace_not_found: clients see one code for "this shard
+		// cannot serve this trace" whether the store is absent or the blob.
+		off := api("", s.fe.Refuse(http.StatusNotFound, apitypes.CodeTraceNotFound,
+			"serve: trace store disabled (start the daemon with -trace-dir)"))
+		mux.HandleFunc("/v1/traces", off)
+		mux.HandleFunc("/v1/traces/", off)
 	}
-	mux.HandleFunc("GET /v1/watch/{room}", s.handleWatch)
-	mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
+	mux.HandleFunc("GET /v1/watch/{room}", api("watch", s.handleWatch))
 	mux.HandleFunc("GET /v1/statsz", s.handleStatsz)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	if s.opts.Debug {
@@ -322,113 +331,48 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// cellSpec is one validated cell: a resolved workload (or stored-trace
-// reference) and tagging configuration plus the request's knobs.
-type cellSpec struct {
-	// name is the request's workload spelling: a catalog name, or
-	// "trace:<digest>" for a stored-trace cell.
-	name string
-	// w is the catalog workload; zero for trace cells, which carry the
-	// store digest in traceDigest instead.
-	w              workload.Workload
-	traceDigest    string
-	modeName       string
-	mode           gpusim.TagMode
-	carve          gpusim.CarveOut
-	maxCycles      uint64
-	sampleInterval uint64
+// local is the shard's Executor: every cell runs on this server.
+type local struct{ *Server }
+
+func (l local) Sim(ctx context.Context, _ apitypes.SimRequest, cell cellplan.Cell, sink func(runner.LiveSample)) (apitypes.CellResult, error) {
+	return l.runCell(ctx, cell, false, sink)
 }
 
-func (s *Server) resolveCell(name, mode string, maxCycles, sampleInterval uint64) (cellSpec, error) {
-	tm, carve, err := gpusim.ParseTagMode(mode)
-	if err != nil {
-		return cellSpec{}, err
+// Sweep runs every cell through the same path as a /v1/sim request, but
+// with patient admission: the sweep's concurrency (bounded here to the
+// worker count) is its flow control, so its cells wait for slots
+// instead of tripping the interactive queue bound.
+func (l local) Sweep(ctx context.Context, _ apitypes.SweepRequest, cells []cellplan.Cell,
+	sinks func(cellplan.Cell) func(runner.LiveSample), emit func(apitypes.CellResult, error)) {
+	sem := make(chan struct{}, l.opts.Workers)
+	var wg sync.WaitGroup
+	for _, cell := range cells {
+		wg.Add(1)
+		go func(cell cellplan.Cell) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			emit(l.runCell(ctx, cell, true, sinks(cell)))
+		}(cell)
 	}
-	cell := cellSpec{
-		name:           name,
-		modeName:       mode,
-		mode:           tm,
-		carve:          carve,
-		maxCycles:      maxCycles,
-		sampleInterval: sampleInterval,
-	}
-	if digest, ok := strings.CutPrefix(name, "trace:"); ok {
-		if s.traces == nil {
-			return cellSpec{}, fmt.Errorf("%w: trace store disabled (start the daemon with -trace-dir)", tracestore.ErrNotFound)
-		}
-		if !tracestore.ValidDigest(digest) {
-			return cellSpec{}, fmt.Errorf("serve: malformed trace workload %q (want trace:<64 lowercase hex sha-256>)", name)
-		}
-		info, err := s.traces.Stat(digest)
-		if err != nil {
-			return cellSpec{}, err
-		}
-		if info.NumSMs > s.opts.Config.NumSMs {
-			return cellSpec{}, fmt.Errorf("serve: trace %s… carries %d SM streams, machine has %d SMs",
-				digest[:12], info.NumSMs, s.opts.Config.NumSMs)
-		}
-		cell.traceDigest = digest
-		return cell, nil
-	}
-	w, ok := s.byName[name]
-	if !ok {
-		return cellSpec{}, fmt.Errorf("serve: unknown workload %q (GET /v1/workloads lists the catalog)", name)
-	}
-	cell.w = w
-	return cell, nil
-}
-
-// resolveStatus maps a resolveCell/expandSweep failure onto the failure
-// table: an absent trace digest is the typed 404 a gateway reacts to by
-// re-uploading the blob; everything else is the client's 400.
-func resolveStatus(err error) (int, string) {
-	if errors.Is(err, tracestore.ErrNotFound) {
-		return http.StatusNotFound, apitypes.CodeTraceNotFound
-	}
-	return http.StatusBadRequest, apitypes.CodeBadRequest
-}
-
-// cellConfig is the machine configuration the cell simulates under —
-// the base machine plus the request's sampling interval. Mode and carve
-// ride on the runner.Job (and are folded into the cache key by
-// runner.CacheKeyFor).
-func (s *Server) cellConfig(cell cellSpec) gpusim.Config {
-	cfg := s.opts.Config
-	cfg.SampleInterval = cell.sampleInterval
-	return cfg
+	wg.Wait()
 }
 
 // runCell executes one cell through the full serving path: cache fast
 // path, then singleflight coalescing on the cell's content key, then
-// admission, then the engine. It never writes HTTP — handlers map the
-// returned result + error to a status via statusFor. sink, when
-// non-nil, receives the run's live telemetry samples; cached and
+// admission, then the engine. It never writes HTTP — the front end maps
+// the returned error onto the failure table. sink, when non-nil,
+// receives the run's live telemetry samples; cached and
 // coalesced-follower cells emit none (nothing is re-simulated — the
 // watcher sees their cell-done frame only).
-func (s *Server) runCell(ctx context.Context, cell cellSpec, patient bool, sink func(runner.LiveSample)) (CellResult, error) {
+func (s *Server) runCell(ctx context.Context, cell cellplan.Cell, patient bool, sink func(runner.LiveSample)) (apitypes.CellResult, error) {
 	t0 := time.Now()
-	res := CellResult{Workload: cell.name, Mode: cell.modeName}
-	job := runner.Job{
-		Mode:      cell.mode,
-		Carve:     cell.carve,
-		MaxCycles: cell.maxCycles,
-	}
-	if cell.traceDigest != "" {
-		// The trace identity is the key material; the replay itself is
-		// attached by the singleflight leader inside execute, so cache
-		// hits and coalesced followers never pin the blob.
-		job.Key = cell.name
-	} else {
-		job.Workload = cell.w
-	}
-	cfg := s.cellConfig(cell)
-	key, _ := runner.CacheKeyFor(cfg, job) // catalog and keyed trace cells are always cacheable
-	res.CacheKey = shortKey(key)
+	res := apitypes.CellResult{Workload: cell.Ref.Workload, Mode: cell.Ref.Mode, CacheKey: shortKey(cell.Key)}
 
 	// Fast path: a warm cell costs one file read, no queue slot.
 	if s.cache != nil {
-		if st, ok := s.cache.Lookup(key); ok {
-			s.count(s.mCacheHits)
+		if st, ok := s.cache.Lookup(cell.Key); ok {
+			s.mCacheHits.Inc()
 			res.Cached = true
 			res.Stats = &st
 			res.ElapsedMs = millisSince(t0)
@@ -436,12 +380,12 @@ func (s *Server) runCell(ctx context.Context, cell cellSpec, patient bool, sink 
 		}
 	}
 
-	out, shared, err := s.flights.do(ctx, key, func() outcome {
-		return s.execute(ctx, cfg, cell, job, patient, sink)
+	out, shared, err := s.flights.do(ctx, cell.Key, func() outcome {
+		return s.execute(ctx, cell, patient, sink)
 	})
 	res.Coalesced = shared
 	if shared {
-		s.count(s.mCoalesce)
+		s.mCoalesce.Inc()
 	}
 	res.ElapsedMs = millisSince(t0)
 	if err != nil {
@@ -454,7 +398,7 @@ func (s *Server) runCell(ctx context.Context, cell cellSpec, patient bool, sink 
 	}
 	res.Cached = res.Cached || out.cached
 	if out.cached {
-		s.count(s.mCacheHits)
+		s.mCacheHits.Inc()
 	}
 	st := out.stats
 	res.Stats = &st
@@ -464,12 +408,10 @@ func (s *Server) runCell(ctx context.Context, cell cellSpec, patient bool, sink 
 // execute is the singleflight leader's body: acquire an execution slot
 // under the request's context, run the engine, and normalize the
 // result.
-func (s *Server) execute(ctx context.Context, cfg gpusim.Config, cell cellSpec, job runner.Job, patient bool, sink func(runner.LiveSample)) outcome {
+func (s *Server) execute(ctx context.Context, cell cellplan.Cell, patient bool, sink func(runner.LiveSample)) outcome {
 	tQueue := time.Now()
 	release, err := s.adm.acquire(ctx, patient)
-	if s.mQueueWait != nil {
-		s.mQueueWait.Observe(time.Since(tQueue).Seconds())
-	}
+	s.mQueueWait.Observe(time.Since(tQueue).Seconds())
 	if err != nil {
 		return outcome{err: err}
 	}
@@ -478,29 +420,20 @@ func (s *Server) execute(ctx context.Context, cfg gpusim.Config, cell cellSpec, 
 	if s.simHook != nil {
 		return s.simHook(ctx, cell)
 	}
-	if cell.traceDigest != "" {
+	job := cell.Job
+	job.OnSample = sink
+	if cell.Digest != "" {
 		// Pin the blob for exactly the duration of the run. A digest that
-		// resolved but is gone now was evicted in between; the typed
+		// was planned but is gone now was evicted in between; the typed
 		// not-found propagates so a gateway can re-upload and retry.
-		rep, err := s.traces.OpenReplay(cell.traceDigest)
+		rep, err := s.traces.OpenReplay(cell.Digest)
 		if err != nil {
 			return outcome{err: err}
 		}
 		defer rep.Close()
 		job.Traces = rep.Traces
 	}
-	eng := s.eng
-	if cell.sampleInterval != 0 || sink != nil {
-		// Sampling changes the machine config (and the cache key), so a
-		// sampled cell runs on an ephemeral engine over the same hub and
-		// cache directory; the shared registry metrics still accumulate.
-		// A live sink rides the same path: it is per-request state, so it
-		// must never be installed on the shared engine.
-		eopts := s.engineOptions(cfg)
-		eopts.OnSample = sink
-		eng = runner.New(cfg, eopts)
-	}
-	results, runErr := eng.Run(ctx, []runner.Job{job})
+	results, runErr := s.eng.Run(ctx, []runner.Job{job})
 	r := results[0]
 	if r.Err == nil && runErr != nil {
 		r.Err = runErr
@@ -513,337 +446,29 @@ func (s *Server) execute(ctx context.Context, cfg gpusim.Config, cell cellSpec, 
 	return outcome{stats: r.Stats.WithoutHost(), cached: r.Cached}
 }
 
-// statusFor maps an execution error onto the API's failure table: the
-// HTTP status plus the envelope code clients dispatch on.
-func statusFor(err error) (int, string) {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		return http.StatusTooManyRequests, apitypes.CodeBackpressure
-	case errors.Is(err, tracestore.ErrNotFound):
-		// The trace was evicted between resolve and execute; the typed
-		// 404 tells a gateway to re-upload the blob and retry.
-		return http.StatusNotFound, apitypes.CodeTraceNotFound
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, apitypes.CodeTimeout
-	case errors.Is(err, context.Canceled):
-		// The client went away; the status is never read but keeps logs
-		// honest (499 is the de-facto client-closed-request code).
-		return 499, apitypes.CodeCanceled
-	default:
-		return http.StatusInternalServerError, apitypes.CodeInternal
-	}
-}
-
-func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	s.count(s.mRequests)
-	defer s.observeLatency(t0, "sim")
-	if s.rejectDraining(w) {
-		return
-	}
-	req, err := DecodeSimRequest(r.Body)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, apitypes.CodeBadRequest, err)
-		return
-	}
-	if req.Watch && req.SampleInterval == 0 {
-		req.SampleInterval = s.opts.WatchSampleInterval
-	}
-	cell, err := s.resolveCell(req.Workload, req.Mode, req.MaxCycles, req.SampleInterval)
-	if err != nil {
-		status, code := resolveStatus(err)
-		s.writeError(w, status, code, err)
-		return
-	}
-	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMs, s.opts.DefaultTimeout)
-	defer cancel()
-	var sink func(runner.LiveSample)
-	var room *rooms.Room
-	if req.Watch {
-		// The join code rides in a header too, so a streaming-inclined
-		// client could attach before the cell finishes; the JSON result
-		// is the canonical carrier.
-		room = s.rooms.Open()
-		w.Header().Set("X-Watch-Room", room.Code())
-		sink = roomSink(room, cellName(cell))
-	}
-	res, err := s.runCell(ctx, cell, false, sink)
-	if room != nil {
-		publishCellDone(room, res, err)
-		room.Close(apitypes.WatchSummary{Done: true})
-		res.WatchRoom = room.Code()
-	}
-	if err != nil {
-		status, code := statusFor(err)
-		s.writeError(w, status, code, err)
-		return
-	}
-	s.count(s.mCells)
-	writeJSON(w, http.StatusOK, res)
-}
-
-// cellName is the cell label telemetry frames carry: the request's own
-// workload/mode spelling (not the runner's normalized mode name), so
-// watchers demultiplex on the strings they asked for.
-func cellName(cell cellSpec) string { return cell.name + "/" + cell.modeName }
-
-// roomSink adapts a telemetry room into a runner live-sample sink for
-// one cell.
-func roomSink(room *rooms.Room, cell string) func(runner.LiveSample) {
-	return func(ls runner.LiveSample) {
-		smp := ls.Sample
-		room.Publish(apitypes.WatchFrame{
-			Cell:    cell,
-			Key:     shortKey(ls.Key),
-			CellSeq: ls.Seq,
-			Sample:  &smp,
-		})
-	}
-}
-
-// publishCellDone emits the lifecycle frame that ends a cell's series
-// (the only frame a cached or coalesced cell produces).
-func publishCellDone(room *rooms.Room, res CellResult, err error) {
-	f := apitypes.WatchFrame{
-		Cell:    res.Workload + "/" + res.Mode,
-		Key:     res.CacheKey,
-		CellSeq: -1,
-		Event:   apitypes.WatchEventCellDone,
-		Cached:  res.Cached,
-		Error:   res.Error,
-	}
-	if err != nil {
-		f.Error = err.Error()
-	}
-	room.Publish(f)
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	s.count(s.mRequests)
-	defer s.observeLatency(t0, "sweep")
-	if s.rejectDraining(w) {
-		return
-	}
-	req, err := DecodeSweepRequest(r.Body)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, apitypes.CodeBadRequest, err)
-		return
-	}
-	if req.Watch && req.SampleInterval == 0 {
-		req.SampleInterval = s.opts.WatchSampleInterval
-	}
-	cells, err := s.expandSweep(req)
-	if err != nil {
-		status, code := resolveStatus(err)
-		s.writeError(w, status, code, err)
-		return
-	}
-	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMs, s.opts.MaxTimeout)
-	defer cancel()
-
-	var room *rooms.Room
-	if req.Watch {
-		// The join code must be available before the stream starts (the
-		// whole point is watching the sweep live), so it goes out as a
-		// response header ahead of the NDJSON body.
-		room = s.rooms.Open()
-		w.Header().Set("X-Watch-Room", room.Code())
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
-	// Every cell goes through the same coalesce+admission path as a
-	// /v1/sim request, with patient admission: the sweep's concurrency
-	// (bounded here to the worker count) is its flow control, so its
-	// cells wait for slots instead of tripping the interactive queue
-	// bound. Results stream in completion order.
-	type numbered struct {
-		res CellResult
-		err error
-	}
-	done := make(chan numbered)
-	sem := make(chan struct{}, s.opts.Workers)
-	var wg sync.WaitGroup
-	for _, cell := range cells {
-		wg.Add(1)
-		go func(cell cellSpec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var sink func(runner.LiveSample)
-			if room != nil {
-				sink = roomSink(room, cellName(cell))
-			}
-			res, err := s.runCell(ctx, cell, true, sink)
-			done <- numbered{res, err}
-		}(cell)
-	}
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-
-	summary := SweepSummary{Cells: len(cells)}
-	for n := range done {
-		res := n.res
-		if n.err != nil {
-			res.Error = n.err.Error()
-			res.Stats = nil
-			summary.Failed++
-			s.countError(n.err)
-		} else {
-			s.count(s.mCells)
-		}
-		if room != nil {
-			publishCellDone(room, res, nil)
-			res.WatchRoom = room.Code()
-		}
-		if res.Cached {
-			summary.Cached++
-		}
-		if res.Coalesced {
-			summary.Coalesced++
-		}
-		if err := enc.Encode(res); err != nil {
-			// The client hung up; drain the workers and stop writing.
-			continue
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	if room != nil {
-		room.Close(apitypes.WatchSummary{Done: true})
-		summary.WatchRoom = room.Code()
-	}
-	summary.Done = true
-	summary.ElapsedMs = millisSince(t0)
-	_ = enc.Encode(summary)
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
-
-// expandSweep turns a SweepRequest into its grid of cells:
-// (named workloads ∪ suite members) × modes, deduplicated by workload
-// name, order-preserving — plus any explicit req.Cells, appended in
-// order and deduplicated against the product by (workload, mode). An
-// explicit cell list is how a gateway scatters one shard's share of a
-// grid, which is rarely a clean product.
-func (s *Server) expandSweep(req SweepRequest) ([]cellSpec, error) {
-	// names is the deduplicated workload axis: catalog names and
-	// trace:<digest> references mix freely (resolveCell dispatches on
-	// the prefix; validation happens per cell in the product loop).
-	var names []string
-	seen := make(map[string]bool)
-	add := func(name string) {
-		if !seen[name] {
-			seen[name] = true
-			names = append(names, name)
-		}
-	}
-	for _, name := range req.Workloads {
-		if _, ok := s.byName[name]; !ok && !strings.HasPrefix(name, "trace:") {
-			return nil, fmt.Errorf("serve: unknown workload %q", name)
-		}
-		add(name)
-	}
-	if req.Suite != "" {
-		suite := workload.BySuite(req.Suite)
-		if len(suite) == 0 {
-			return nil, fmt.Errorf("serve: unknown suite %q (valid: %v)", req.Suite, workload.Suites())
-		}
-		for _, w := range suite {
-			add(w.Name)
-		}
-	}
-	if len(names) == 0 && len(req.Cells) == 0 {
-		return nil, errors.New("serve: sweep needs workloads, a suite, and/or explicit cells")
-	}
-	if len(names) > 0 && len(req.Modes) == 0 {
-		return nil, errors.New("serve: sweep needs at least one mode")
-	}
-	cells := make([]cellSpec, 0, len(names)*len(req.Modes)+len(req.Cells))
-	for _, name := range names {
-		for _, mode := range req.Modes {
-			cell, err := s.resolveCell(name, mode, req.MaxCycles, req.SampleInterval)
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, cell)
-		}
-	}
-	inGrid := make(map[apitypes.CellRef]bool, len(cells))
-	for _, c := range cells {
-		inGrid[apitypes.CellRef{Workload: c.name, Mode: c.modeName}] = true
-	}
-	for _, ref := range req.Cells {
-		if inGrid[ref] {
-			continue
-		}
-		inGrid[ref] = true
-		cell, err := s.resolveCell(ref.Workload, ref.Mode, req.MaxCycles, req.SampleInterval)
-		if err != nil {
-			return nil, err
-		}
-		cells = append(cells, cell)
-	}
-	if len(cells) > s.opts.MaxSweepCells {
-		return nil, fmt.Errorf("serve: sweep expands to %d cells, server cap is %d", len(cells), s.opts.MaxSweepCells)
-	}
-	return cells, nil
-}
-
-func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
-	cat := workload.Catalog()
-	resp := CatalogResponse{
-		Workloads: make([]WorkloadInfo, 0, len(cat)),
-		Suites:    workload.Suites(),
-		Modes:     gpusim.TagModeNames(),
-	}
-	for _, wl := range cat {
-		resp.Workloads = append(resp.Workloads, WorkloadInfo{
-			Name:           wl.Name,
-			Suite:          wl.Suite,
-			Pattern:        wl.Pattern.String(),
-			FootprintBytes: wl.FootprintBytes,
-		})
-	}
-	sort.Slice(resp.Workloads, func(i, j int) bool { return resp.Workloads[i].Name < resp.Workloads[j].Name })
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // Stats returns the server's activity snapshot (the /v1/statsz body).
-func (s *Server) Stats() StatsSnapshot {
+func (s *Server) Stats() apitypes.StatsSnapshot {
 	up := time.Since(s.started)
-	snap := StatsSnapshot{
-		Draining:      s.draining.Load(),
+	snap := apitypes.StatsSnapshot{
+		Draining:      s.fe.Draining(),
 		UptimeMs:      float64(up) / float64(time.Millisecond),
 		UptimeSeconds: up.Seconds(),
 		// Build identity, so a watcher can tell which binary and machine
 		// configuration it is observing.
-		ConfigHash:  s.manifest.ConfigHash,
-		GoVersion:   s.manifest.GoVersion,
-		VCSRevision: s.manifest.VCSRevision,
-		VCSModified: s.manifest.VCSModified,
+		ConfigHash:   s.manifest.ConfigHash,
+		GoVersion:    s.manifest.GoVersion,
+		VCSRevision:  s.manifest.VCSRevision,
+		VCSModified:  s.manifest.VCSModified,
+		Requests:     s.fe.Requests(),
+		Cells:        s.fe.Cells(),
+		Rejected:     s.fe.mRejected.Value(),
+		Timeouts:     s.fe.mTimeouts.Value(),
+		Errors:       s.fe.mErrors.Value(),
+		CacheHits:    s.mCacheHits.Value(),
+		CoalesceHits: s.mCoalesce.Value(),
+		Inflight:     int64(s.adm.inflight.Value()),
+		QueueDepth:   s.adm.waiting.Load(),
 	}
-	if s.mRequests != nil {
-		snap.Requests = s.mRequests.Value()
-		snap.Cells = s.mCells.Value()
-		snap.CacheHits = s.mCacheHits.Value()
-		snap.CoalesceHits = s.mCoalesce.Value()
-		snap.Rejected = s.mRejected.Value()
-		snap.Timeouts = s.mTimeouts.Value()
-		snap.Errors = s.mErrors.Value()
-	}
-	if s.adm.inflight != nil {
-		snap.Inflight = int64(s.adm.inflight.Value())
-	}
-	snap.QueueDepth = s.adm.waiting.Load()
 	if s.jobs != nil {
 		js := s.jobs.Stats()
 		snap.Jobs = &js
@@ -869,44 +494,22 @@ func (s *Server) Stats() StatsSnapshot {
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.draining.Load() {
+	if s.fe.Draining() {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // SetDraining flips the server into (or out of) drain mode: new work is
 // refused with 503 + Retry-After while in-flight requests run to
 // completion. Daemon.Shutdown sets it before closing the listener.
-func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
-
-// rejectDraining refuses new work during drain.
-func (s *Server) rejectDraining(w http.ResponseWriter) bool {
-	if !s.draining.Load() {
-		return false
-	}
-	s.writeError(w, http.StatusServiceUnavailable, apitypes.CodeDraining, errors.New("serve: draining"))
-	return true
-}
-
-// requestContext derives the cell-execution context: the request's
-// timeout_ms clamped to the server maximum, or fallback when unset.
-func (s *Server) requestContext(parent context.Context, timeoutMs int64, fallback time.Duration) (context.Context, context.CancelFunc) {
-	d := fallback
-	if timeoutMs > 0 {
-		d = time.Duration(timeoutMs) * time.Millisecond
-	}
-	if d > s.opts.MaxTimeout {
-		d = s.opts.MaxTimeout
-	}
-	return context.WithTimeout(parent, d)
-}
+func (s *Server) SetDraining(v bool) { s.fe.SetDraining(v) }
 
 // Manifest pins this server run: the construction-time identity plus
 // current wall time, activity counters, metrics snapshot and the
@@ -939,75 +542,4 @@ func (s *Server) Manifest() obs.Manifest {
 	}
 	m.Cells = s.hub.Cells()
 	return m
-}
-
-// writeError emits the uniform error envelope
-// {"error":{"code","message","retry_after_ms"}} for status, bumping the
-// matching counter and attaching Retry-After (header and JSON twin) to
-// backpressure statuses.
-func (s *Server) writeError(w http.ResponseWriter, status int, code string, err error) {
-	body := apitypes.ErrorBody{Code: code, Message: err.Error()}
-	switch status {
-	case http.StatusTooManyRequests:
-		s.count(s.mRejected)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		body.RetryAfterMs = retryAfterSeconds * 1000
-	case http.StatusServiceUnavailable:
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		body.RetryAfterMs = retryAfterSeconds * 1000
-	case http.StatusGatewayTimeout:
-		s.count(s.mTimeouts)
-	case http.StatusBadRequest, http.StatusNotFound, 499,
-		http.StatusRequestEntityTooLarge, http.StatusConflict:
-		// Client-side mistakes, hangups, over-quota uploads and in-use
-		// deletes are not server failures.
-	default:
-		s.count(s.mErrors)
-	}
-	writeJSON(w, status, ErrorResponse{Error: body})
-}
-
-// countError bumps the counter matching err's failure class (the
-// per-cell accounting inside a sweep stream, where no status is
-// written).
-func (s *Server) countError(err error) {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		s.count(s.mRejected)
-	case errors.Is(err, context.DeadlineExceeded):
-		s.count(s.mTimeouts)
-	case errors.Is(err, context.Canceled):
-	default:
-		s.count(s.mErrors)
-	}
-}
-
-func (s *Server) count(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func (s *Server) observeLatency(t0 time.Time, route string) {
-	if s.mLatency != nil {
-		s.mLatency.With(route).Observe(time.Since(t0).Seconds())
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
-
-func shortKey(key string) string {
-	if len(key) > 16 {
-		return key[:16]
-	}
-	return key
-}
-
-func millisSince(t0 time.Time) float64 {
-	return float64(time.Since(t0)) / float64(time.Millisecond)
 }

@@ -14,6 +14,9 @@ import (
 	"time"
 
 	"repro/internal/gpusim"
+	"repro/internal/obs"
+	"repro/internal/serve/apitypes"
+	"repro/internal/serve/cellplan"
 )
 
 // post runs one request through the handler without a socket.
@@ -76,7 +79,7 @@ func TestSimBadRequests(t *testing.T) {
 			if rec.Code != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400 (body %q)", rec.Code, rec.Body.String())
 			}
-			e := decodeBody[ErrorResponse](t, rec)
+			e := decodeBody[apitypes.ErrorResponse](t, rec)
 			if !strings.Contains(e.Error.Message, tc.wantInErr) {
 				t.Errorf("error %q does not mention %q", e.Error.Message, tc.wantInErr)
 			}
@@ -99,7 +102,7 @@ func TestSimOK(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
-	res := decodeBody[CellResult](t, rec)
+	res := decodeBody[apitypes.CellResult](t, rec)
 	if res.Stats == nil || res.Stats.Cycles == 0 || res.Stats.WarpOps == 0 {
 		t.Fatalf("empty stats: %+v", res)
 	}
@@ -116,7 +119,7 @@ func TestSimOK(t *testing.T) {
 	if rec2.Code != http.StatusOK {
 		t.Fatalf("warm status = %d: %s", rec2.Code, rec2.Body.String())
 	}
-	res2 := decodeBody[CellResult](t, rec2)
+	res2 := decodeBody[apitypes.CellResult](t, rec2)
 	if !res2.Cached {
 		t.Errorf("second run must be a cache hit: %+v", res2)
 	}
@@ -157,9 +160,9 @@ func newBlockingHook() *blockingHook {
 	return &blockingHook{entered: make(chan string, 16), release: make(chan struct{})}
 }
 
-func (b *blockingHook) hook(ctx context.Context, cell cellSpec) outcome {
+func (b *blockingHook) hook(ctx context.Context, cell cellplan.Cell) outcome {
 	b.runs.Add(1)
-	b.entered <- cell.w.Name
+	b.entered <- cell.Ref.Workload
 	select {
 	case <-b.release:
 		return outcome{stats: gpusim.Stats{Cycles: 42, WarpOps: 1}}
@@ -252,7 +255,7 @@ func TestCoalescing(t *testing.T) {
 
 	const herd = 5
 	var wg sync.WaitGroup
-	results := make([]CellResult, herd)
+	results := make([]apitypes.CellResult, herd)
 	codes := make([]int, herd)
 	for i := 0; i < herd; i++ {
 		wg.Add(1)
@@ -388,7 +391,7 @@ func TestGracefulDrain(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("in-flight request status = %d, want 200", resp.StatusCode)
 		}
-		var res CellResult
+		var res apitypes.CellResult
 		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
 			t.Fatal(err)
 		}
@@ -429,8 +432,8 @@ func TestSweepStreaming(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("Content-Type = %q", ct)
 	}
-	var cells []CellResult
-	var summary *SweepSummary
+	var cells []apitypes.CellResult
+	var summary *apitypes.SweepSummary
 	sc := bufio.NewScanner(rec.Body)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
@@ -444,13 +447,13 @@ func TestSweepStreaming(t *testing.T) {
 			if summary != nil {
 				t.Fatal("two summary lines")
 			}
-			summary = &SweepSummary{}
+			summary = &apitypes.SweepSummary{}
 			if err := json.Unmarshal(line, summary); err != nil {
 				t.Fatal(err)
 			}
 			continue
 		}
-		var cell CellResult
+		var cell apitypes.CellResult
 		if err := json.Unmarshal(line, &cell); err != nil {
 			t.Fatalf("bad cell line %q: %v", line, err)
 		}
@@ -489,7 +492,7 @@ func TestSweepBadRequests(t *testing.T) {
 			if rec.Code != http.StatusBadRequest {
 				t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 			}
-			e := decodeBody[ErrorResponse](t, rec)
+			e := decodeBody[apitypes.ErrorResponse](t, rec)
 			if !strings.Contains(e.Error.Message, tc.wantInErr) {
 				t.Errorf("error %q does not mention %q", e.Error.Message, tc.wantInErr)
 			}
@@ -508,7 +511,7 @@ func TestWorkloadsAndStatsz(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("workloads = %d", rec.Code)
 	}
-	cat := decodeBody[CatalogResponse](t, rec)
+	cat := decodeBody[apitypes.CatalogResponse](t, rec)
 	if len(cat.Workloads) != 193 || len(cat.Suites) != 3 || len(cat.Modes) == 0 {
 		t.Fatalf("catalog: %d workloads, %d suites, %d modes",
 			len(cat.Workloads), len(cat.Suites), len(cat.Modes))
@@ -517,7 +520,7 @@ func TestWorkloadsAndStatsz(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("statsz = %d", rec.Code)
 	}
-	snap := decodeBody[StatsSnapshot](t, rec)
+	snap := decodeBody[apitypes.StatsSnapshot](t, rec)
 	// /v1/workloads and /v1/statsz are not counted as API requests;
 	// only cell-serving endpoints are.
 	if snap.Requests != 0 || snap.Draining {
@@ -527,7 +530,7 @@ func TestWorkloadsAndStatsz(t *testing.T) {
 
 // TestAdmissionUnit pins the controller's contract below HTTP.
 func TestAdmissionUnit(t *testing.T) {
-	a := newAdmission(1, 1, nil)
+	a := newAdmission(1, 1, obs.NewRegistry())
 	ctx := context.Background()
 
 	release1, err := a.acquire(ctx, false)

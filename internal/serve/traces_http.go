@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/serve/apitypes"
 	"repro/internal/tracestore"
@@ -45,28 +44,24 @@ func traceStatus(err error) (int, string) {
 // MaxRequestBytes — the store quota is its size bound). 201 with the
 // digest on a fresh commit, 200 on a content-address hit.
 func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	s.count(s.mRequests)
-	defer s.observeLatency(t0, "traces")
-	if s.rejectDraining(w) {
+	if s.fe.RejectDraining(w) {
 		return
 	}
 	info, created, err := s.traces.Put(r.Body)
 	if err != nil {
 		status, code := traceStatus(err)
-		s.writeError(w, status, code, err)
+		s.fe.WriteError(w, status, code, err)
 		return
 	}
 	status := http.StatusOK
 	if created {
 		status = http.StatusCreated
 	}
-	writeJSON(w, status, apitypes.TraceUploadResponse{TraceInfo: traceInfoAPI(info), Created: created})
+	WriteJSON(w, status, apitypes.TraceUploadResponse{TraceInfo: traceInfoAPI(info), Created: created})
 }
 
 // handleTraceList: GET /v1/traces, sorted by digest.
 func (s *Server) handleTraceList(w http.ResponseWriter, _ *http.Request) {
-	s.count(s.mRequests)
 	list := s.traces.List()
 	resp := apitypes.TraceListResponse{Traces: make([]apitypes.TraceInfo, 0, len(list))}
 	for _, info := range list {
@@ -74,29 +69,28 @@ func (s *Server) handleTraceList(w http.ResponseWriter, _ *http.Request) {
 		resp.TotalBytes += info.Bytes
 	}
 	resp.QuotaBytes = s.traces.Stats().QuotaBytes
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleTraceGet: GET /v1/traces/{digest} — the TraceInfo, or with
 // ?raw=1 the raw IMTTRC bytes streamed from disk (the transfer a
 // gateway uses to push a blob from one shard to another).
 func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
-	s.count(s.mRequests)
 	digest := r.PathValue("digest")
 	if r.URL.Query().Get("raw") == "" {
 		info, err := s.traces.Stat(digest)
 		if err != nil {
 			status, code := traceStatus(err)
-			s.writeError(w, status, code, err)
+			s.fe.WriteError(w, status, code, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, traceInfoAPI(info))
+		WriteJSON(w, http.StatusOK, traceInfoAPI(info))
 		return
 	}
 	rep, err := s.traces.OpenReplay(digest)
 	if err != nil {
 		status, code := traceStatus(err)
-		s.writeError(w, status, code, err)
+		s.fe.WriteError(w, status, code, err)
 		return
 	}
 	defer rep.Close()
@@ -109,22 +103,11 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 // handleTraceDelete: DELETE /v1/traces/{digest} → the deleted trace's
 // info; 409 while a replay or queued job holds it, 404 if absent.
 func (s *Server) handleTraceDelete(w http.ResponseWriter, r *http.Request) {
-	s.count(s.mRequests)
 	info, err := s.traces.Delete(r.PathValue("digest"))
 	if err != nil {
 		status, code := traceStatus(err)
-		s.writeError(w, status, code, err)
+		s.fe.WriteError(w, status, code, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, traceInfoAPI(info))
-}
-
-// handleTracesDisabled answers every trace route when the daemon runs
-// without -trace-dir, mirroring handleJobsDisabled. The code is the
-// typed trace_not_found so clients see one code for "this shard cannot
-// serve this trace" whether the store is absent or the blob is.
-func (s *Server) handleTracesDisabled(w http.ResponseWriter, _ *http.Request) {
-	s.count(s.mRequests)
-	s.writeError(w, http.StatusNotFound, apitypes.CodeTraceNotFound,
-		errors.New("serve: trace store disabled (start the daemon with -trace-dir)"))
+	WriteJSON(w, http.StatusOK, traceInfoAPI(info))
 }

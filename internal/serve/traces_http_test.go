@@ -162,7 +162,7 @@ func TestSimTraceWorkload(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("trace sim: %d %s", rec.Code, rec.Body)
 	}
-	res := decodeBody[CellResult](t, rec)
+	res := decodeBody[apitypes.CellResult](t, rec)
 	if res.Workload != "trace:"+digest || res.Stats == nil {
 		t.Fatalf("result %+v", res)
 	}
@@ -192,7 +192,7 @@ func TestSimTraceWorkload(t *testing.T) {
 
 	// Same cell again: the engine already cached it under the digest key.
 	rec = post(t, h, "/v1/sim", simBody)
-	if res2 := decodeBody[CellResult](t, rec); !res2.Cached || !reflect.DeepEqual(res2.Stats, res.Stats) {
+	if res2 := decodeBody[apitypes.CellResult](t, rec); !res2.Cached || !reflect.DeepEqual(res2.Stats, res.Stats) {
 		t.Errorf("second trace sim: cached=%v, stats equal=%v", res2.Cached, reflect.DeepEqual(res2.Stats, res.Stats))
 	}
 

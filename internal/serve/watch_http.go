@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
 	"strconv"
 	"time"
@@ -26,20 +25,11 @@ const watchKeepAliveEvery = 60
 // next_seq); an eviction for falling behind ends the stream with no
 // summary — re-attaching replays the missed frames from history.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	s.count(s.mRequests)
-	defer s.observeLatency(t0, "watch")
-
-	from := 0
-	if q := r.URL.Query().Get("from"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			s.writeError(w, http.StatusBadRequest, apitypes.CodeBadRequest,
-				errors.New("serve: from must be a non-negative integer"))
-			return
-		}
-		from = n
-	} else if last := r.Header.Get("Last-Event-ID"); last != "" {
+	from, ok := s.fromParam(w, r)
+	if !ok {
+		return
+	}
+	if last := r.Header.Get("Last-Event-ID"); last != "" && r.URL.Query().Get("from") == "" {
 		if n, err := strconv.Atoi(last); err == nil && n >= 0 {
 			from = n + 1
 		}
@@ -47,13 +37,13 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 
 	room, err := s.rooms.Get(r.PathValue("room"))
 	if err != nil {
-		s.writeError(w, http.StatusNotFound, apitypes.CodeNotFound, err)
+		s.fe.WriteError(w, http.StatusNotFound, apitypes.CodeNotFound, err)
 		return
 	}
 	replay, sub, sum, err := room.Subscribe(from, 0)
 	if err != nil {
 		// Only ErrGone: the resume point fell out of history.
-		s.writeError(w, http.StatusGone, apitypes.CodeGone, err)
+		s.fe.WriteError(w, http.StatusGone, apitypes.CodeGone, err)
 		return
 	}
 	defer room.Unsubscribe(sub)
@@ -128,34 +118,14 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			if !writeFrame(f) {
 				return
 			}
-			// Drain any backlog before flushing once.
-			for more := true; more; {
-				select {
-				case f, ok := <-sub.Ch():
-					if !ok {
-						more = false
-						if flusher != nil {
-							flusher.Flush()
-						}
-						if final := sub.Summary(); final != nil {
-							writeSummary(*final)
-						}
-						return
-					}
-					if !writeFrame(f) {
-						return
-					}
-				default:
-					more = false
-				}
-			}
-			if flusher != nil {
+			// Flush once per burst, when the backlog is drained.
+			if len(sub.Ch()) == 0 && flusher != nil {
 				flusher.Flush()
 			}
 		case <-r.Context().Done():
 			return
 		case <-time.After(drainPollInterval):
-			if s.draining.Load() {
+			if s.fe.Draining() {
 				writeSummary(apitypes.WatchSummary{Frames: next, NextSeq: next, Draining: true})
 				return
 			}

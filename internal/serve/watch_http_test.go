@@ -64,7 +64,7 @@ func TestSimWatchReplay(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("sim: %d %s", rec.Code, rec.Body.String())
 	}
-	res := decodeBody[CellResult](t, rec)
+	res := decodeBody[apitypes.CellResult](t, rec)
 	if res.WatchRoom == "" {
 		t.Fatal("watch:true must return a room code")
 	}
@@ -121,12 +121,12 @@ func TestSimWatchReplay(t *testing.T) {
 	if nrec.Code != http.StatusNotFound {
 		t.Fatalf("unknown room: %d", nrec.Code)
 	}
-	if e := decodeBody[ErrorResponse](t, nrec); e.Error.Code != apitypes.CodeNotFound {
+	if e := decodeBody[apitypes.ErrorResponse](t, nrec); e.Error.Code != apitypes.CodeNotFound {
 		t.Fatalf("code = %q", e.Error.Code)
 	}
 
 	// The statsz rooms section and build identity must be live.
-	snap := decodeBody[StatsSnapshot](t, get(t, h, "/v1/statsz"))
+	snap := decodeBody[apitypes.StatsSnapshot](t, get(t, h, "/v1/statsz"))
 	if snap.Rooms == nil || snap.Rooms.Frames == 0 {
 		t.Fatalf("rooms stats = %+v", snap.Rooms)
 	}
@@ -183,7 +183,7 @@ func TestSweepWatchLive(t *testing.T) {
 			lastLine = append(lastLine[:0], sc.Bytes()...)
 		}
 	}
-	var summary SweepSummary
+	var summary apitypes.SweepSummary
 	if err := json.Unmarshal(lastLine, &summary); err != nil {
 		t.Fatalf("sweep summary %q: %v", lastLine, err)
 	}
@@ -229,7 +229,7 @@ func TestWatchGoneAfterHistoryEviction(t *testing.T) {
 	if rec.Code != http.StatusGone {
 		t.Fatalf("evicted resume point: %d %s", rec.Code, rec.Body.String())
 	}
-	if e := decodeBody[ErrorResponse](t, rec); e.Error.Code != apitypes.CodeGone {
+	if e := decodeBody[apitypes.ErrorResponse](t, rec); e.Error.Code != apitypes.CodeGone {
 		t.Fatalf("code = %q", e.Error.Code)
 	}
 	// from=0 still works and yields the retained tail.
@@ -254,9 +254,9 @@ func TestJobWatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := func() JobInfo {
+	info := func() apitypes.JobInfo {
 		defer resp.Body.Close()
-		var v JobInfo
+		var v apitypes.JobInfo
 		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +295,7 @@ func TestJobWatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var done JobInfo
+	var done apitypes.JobInfo
 	if err := json.NewDecoder(jrec.Body).Decode(&done); err != nil {
 		t.Fatal(err)
 	}
