@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-gate repro repro-quick sweep-quick sweep-trace examples fuzz fuzz-short conformance serve-smoke jobs-smoke rooms-smoke cluster-smoke traces-smoke check-docs check clean
+.PHONY: all build test race bench bench-json bench-gate repro repro-quick sweep-quick sweep-trace examples fuzz fuzz-short conformance serve-smoke jobs-smoke rooms-smoke cluster-smoke traces-smoke e2ebench-test check-docs check clean
 
 all: build test
 
@@ -140,6 +140,11 @@ cluster-smoke:
 traces-smoke:
 	sh scripts/traces-smoke.sh
 
+# Self-tests of the end-to-end benchmark. e2ebench is a module of its
+# own, outside the root ./..., so they run under run.sh's environment.
+e2ebench-test:
+	cd e2ebench && GOTOOLCHAIN=local GOFLAGS=-mod=mod GOPROXY=off GOWORK=off $(GO) test ./...
+
 # Documentation drift gate: fails if docs reference flags no binary
 # prints, point at paths outside the repo, or miss required sections
 # (see scripts/check_docs.sh).
@@ -148,7 +153,7 @@ check-docs:
 
 # Pre-merge gate: everything that must be green before a change lands.
 # bench-gate runs last: correctness gates first, perf regression after.
-check: build test fuzz-short conformance serve-smoke jobs-smoke rooms-smoke cluster-smoke traces-smoke check-docs bench-gate
+check: build test fuzz-short conformance serve-smoke jobs-smoke rooms-smoke cluster-smoke traces-smoke e2ebench-test check-docs bench-gate
 
 clean:
 	rm -rf results results-quick .sweep-cache

@@ -30,9 +30,10 @@ func CacheKeyFor(cfg gpusim.Config, job Job) (string, bool) {
 
 // CacheKey is the common-case CacheKeyFor: the cache identity of a
 // catalog workload under one tagging configuration with the default
-// cycle cap. Two cells simulate identically if and only if their keys
-// are equal (same machine, workload parameters, mode, carve geometry
-// and cache schema version).
+// cycle cap. Equal keys imply identical simulations (same machine,
+// workload parameters, mode, carve geometry and cache schema version).
+// The converse does not hold: none, imt and ecc-steal have distinct
+// keys yet simulate identically (TestIMTMatchesBaselineExactly).
 func CacheKey(cfg gpusim.Config, w workload.Workload, mode gpusim.TagMode, carve gpusim.CarveOut) string {
 	key, _ := CacheKeyFor(cfg, Job{Workload: w, Mode: mode, Carve: carve})
 	return key

@@ -8,15 +8,17 @@
 // Planning parses the tag mode, resolves a catalog name or a
 // "trace:<digest>" reference, expands (workloads ∪ suite) × modes plus
 // explicit cells, deduplicates by (workload, mode), applies the cell
-// cap and computes the cell's runner.CacheKeyFor key. The one
-// shard-specific step, checking that a trace is resident and fits the
-// machine, is a hook (Options.CheckTrace).
+// cap and computes the cell's runner.CacheKeyFor key (memoised for
+// catalog cells with default caps, see Plan). The one shard-specific
+// step, checking that a trace is resident and fits the machine, is a
+// hook (Options.CheckTrace).
 package cellplan
 
 import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/gpusim"
 	"repro/internal/runner"
@@ -64,10 +66,29 @@ type Options struct {
 }
 
 // Plan resolves and expands cells against one machine configuration
-// and the workload catalog. It is immutable and safe for concurrent use.
+// and the workload catalog. It is safe for concurrent use.
+//
+// Its one piece of mutable state is a memo of cache keys, so a warm
+// cell is not re-marshalled and re-hashed on every request. Only
+// catalog cells with the default caps (max_cycles and sample_interval
+// both 0) enter it, keyed by workload and parsed mode, so mode aliases
+// share an entry and the memo never outgrows catalog × modes. Trace
+// cells, capped cells and sampled (watched) cells compute their key
+// every time and never enter it, so no stream of requests can grow it.
 type Plan struct {
 	opts   Options
 	byName map[string]workload.Workload
+
+	mu   sync.RWMutex
+	keys map[memoKey]string
+}
+
+// memoKey identifies a memoised catalog cell. name is the catalog's
+// own string, so an entry retains no request memory.
+type memoKey struct {
+	name  string
+	mode  gpusim.TagMode
+	carve gpusim.CarveOut
 }
 
 // New builds a plan over the workload catalog.
@@ -118,10 +139,33 @@ func (p *Plan) ResolveCell(name, mode string, maxCycles, sampleInterval uint64) 
 			return Cell{}, fmt.Errorf("serve: unknown workload %q (GET /v1/workloads lists the catalog)", name)
 		}
 		cell.Job.Workload = w
+		if maxCycles == 0 && sampleInterval == 0 {
+			cell.Key = p.catalogKey(memoKey{w.Name, tm, carve}, cell.Job)
+			return cell, nil
+		}
 	}
 	// Catalog and keyed trace cells are always cacheable.
 	cell.Key, _ = runner.CacheKeyFor(p.opts.Config, cell.Job)
 	return cell, nil
+}
+
+// catalogKey returns the memoised cache key of a default-caps catalog
+// job, computing and storing it on first use.
+func (p *Plan) catalogKey(mk memoKey, job runner.Job) string {
+	p.mu.RLock()
+	key, ok := p.keys[mk]
+	p.mu.RUnlock()
+	if ok {
+		return key
+	}
+	key, _ = runner.CacheKeyFor(p.opts.Config, job)
+	p.mu.Lock()
+	if p.keys == nil {
+		p.keys = make(map[memoKey]string)
+	}
+	p.keys[mk] = key
+	p.mu.Unlock()
+	return key
 }
 
 // ExpandSweep turns a sweep request into its grid: (named workloads ∪

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/gpusim"
+	"repro/internal/runner"
 	"repro/internal/serve/apitypes"
 	"repro/internal/tracestore"
 	"repro/internal/workload"
@@ -156,5 +158,93 @@ func TestCheckTraceHook(t *testing.T) {
 	}
 	if cell.Digest != digest || cell.Job.Key != "trace:"+digest || cell.Key == "" {
 		t.Errorf("trace cell = %+v", cell)
+	}
+}
+
+// memoLen reports how many cache keys p has memoised.
+func memoLen(p *Plan) int {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return len(p.keys)
+}
+
+// TestKeyMemoMatchesCacheKeyFor: for every catalog workload under every
+// mode spelling, the key is runner.CacheKeyFor's on the first call and
+// on the memoised repeat, with resolvers racing to fill the memo.
+func TestKeyMemoMatchesCacheKeyFor(t *testing.T) {
+	cfg := gpusim.DefaultConfig()
+	p := New(Options{Config: cfg})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 2; round++ {
+				for _, w := range workload.Catalog() {
+					for _, mode := range gpusim.TagModeNames() {
+						cell, err := p.ResolveCell(w.Name, mode, 0, 0)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						tm, carve, _ := gpusim.ParseTagMode(mode)
+						want, _ := runner.CacheKeyFor(cfg, runner.Job{Workload: w, Mode: tm, Carve: carve})
+						if cell.Key != want {
+							t.Errorf("round %d %s/%s: key %s, want %s", round, w.Name, mode, cell.Key, want)
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// Aliases share an entry: one per (workload, parsed mode and carve).
+	modes := make(map[string]bool)
+	for _, mode := range gpusim.TagModeNames() {
+		tm, carve, _ := gpusim.ParseTagMode(mode)
+		modes[fmt.Sprint(tm, carve)] = true
+	}
+	if got, want := memoLen(p), len(workload.Catalog())*len(modes); got != want {
+		t.Errorf("memo holds %d keys, want %d (catalog × distinct modes)", got, want)
+	}
+}
+
+// TestKeyMemoBounded: trace cells, capped cells and sampled cells are
+// keyed directly and never enter the memo, so a long-running daemon's
+// stream of digests or caps cannot grow it.
+func TestKeyMemoBounded(t *testing.T) {
+	p := newPlan(4096)
+	if _, err := p.ResolveCell("stream-copy-16MB", "imt", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := memoLen(p)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				digest := fmt.Sprintf("%02x%062x", g, i)
+				if _, err := p.ResolveCell("trace:"+digest, "imt", 0, 0); err != nil {
+					t.Error(err)
+				}
+				if _, err := p.ResolveCell("stream-copy-16MB", "imt", uint64(1000+i), 0); err != nil {
+					t.Error(err)
+				}
+				if _, err := p.ResolveCell("stream-copy-16MB", "carve-low", 0, uint64(1000+i)); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	// A watched sweep is a sampled one: the front end sets its interval
+	// before planning.
+	if _, err := p.ExpandSweep(apitypes.SweepRequest{Suite: "STREAM", Modes: []string{"imt", "carve-high"}, SampleInterval: 50000}); err != nil {
+		t.Fatal(err)
+	}
+	if got := memoLen(p); got != before {
+		t.Errorf("memo grew from %d to %d keys on trace, capped and sampled cells", before, got)
 	}
 }

@@ -88,6 +88,10 @@ func (c *Client) SweepWatch(ctx context.Context, req apitypes.SweepRequest, onRo
 	return c.sweep(ctx, req, onRoom, fn)
 }
 
+// summaryKey marks a sweep stream's summary line: SweepSummary always
+// writes it and CellResult has no such field.
+var summaryKey = []byte(`"done":`)
+
 func (c *Client) sweep(ctx context.Context, req apitypes.SweepRequest, onRoom func(string), fn func(apitypes.CellResult) error) (apitypes.SweepSummary, error) {
 	var summary apitypes.SweepSummary
 	err := c.retry(ctx, func() error {
@@ -112,12 +116,10 @@ func (c *Client) sweep(ctx context.Context, req apitypes.SweepRequest, onRoom fu
 			if len(line) == 0 {
 				continue
 			}
-			// The summary line is the only one with "done"; sniff it
-			// before committing to a CellResult decode.
-			var probe struct {
-				Done *bool `json:"done"`
-			}
-			if json.Unmarshal(line, &probe) == nil && probe.Done != nil {
+			// The summary is the only line with a "done" key, and JSON
+			// escaping keeps those bytes out of any string value, so a
+			// byte match picks it out without a second decode.
+			if bytes.Contains(line, summaryKey) {
 				return json.Unmarshal(line, &summary)
 			}
 			var cell apitypes.CellResult
@@ -200,8 +202,13 @@ func (c *Client) retry(ctx context.Context, attempt func() error) error {
 		if err == nil {
 			return nil
 		}
-		if try >= maxRetries || !retryable(err) || ctx.Err() != nil {
+		if try >= maxRetries || !retryable(err) {
 			return err
+		}
+		if ctx.Err() != nil {
+			// The caller's context ended, not the server's patience:
+			// report the cancellation, keeping the attempt's error.
+			return errors.Join(ctx.Err(), err)
 		}
 		sleep := c.jitter(backoff)
 		var apiErr *APIError

@@ -143,6 +143,41 @@ func TestRetryStopsWhenContextEnds(t *testing.T) {
 	}
 }
 
+// inProcess is a transport that runs a handler on the calling
+// goroutine and returns whatever it wrote, even when the handler has
+// canceled the request's context: the order of events a network
+// transport exposes only by chance.
+type inProcess struct{ h http.HandlerFunc }
+
+func (p inProcess) RoundTrip(r *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	p.h(rec, r)
+	return rec.Result(), nil
+}
+
+// TestRetryReportsCancellationOverBackpressure: when the caller's
+// context ends while a 429 is on its way back, the caller sees its own
+// cancellation (the 429 stays visible in the chain), not backpressure
+// alone.
+func TestRetryReportsCancellationOverBackpressure(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c := fastClient("http://in-process")
+	c.HTTPClient = &http.Client{Transport: inProcess{func(w http.ResponseWriter, r *http.Request) {
+		cancel()
+		w.Header().Set("Retry-After", "30")
+		w.WriteHeader(http.StatusTooManyRequests)
+		json.NewEncoder(w).Encode(apitypes.ErrorResponse{Error: apitypes.ErrorBody{Code: apitypes.CodeBackpressure, Message: "queue full"}})
+	}}}
+	_, err := c.Sim(ctx, apitypes.SimRequest{Workload: "x", Mode: "imt"})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if !errors.Is(err, ErrBackpressure) {
+		t.Errorf("err = %v, want the 429 kept in the chain", err)
+	}
+}
+
 // TestSweepStreamParsing: the client must hand every cell line to fn
 // in order and return the summary line.
 func TestSweepStreamParsing(t *testing.T) {
@@ -168,6 +203,36 @@ func TestSweepStreamParsing(t *testing.T) {
 	}
 	if !summary.Done || summary.Cells != 2 || summary.Failed != 1 {
 		t.Fatalf("summary = %+v", summary)
+	}
+}
+
+// TestSweepDoneInsideStrings: a cell line whose error text mentions
+// done, even as a quoted key or a whole summary object, is a cell; the
+// real summary line still ends the stream.
+func TestSweepDoneInsideStrings(t *testing.T) {
+	errs := []string{`done`, `"done"`, `{"done":true}`, `"done": true`}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		enc := json.NewEncoder(w)
+		for _, e := range errs {
+			enc.Encode(apitypes.CellResult{Workload: "a", Mode: "imt", Error: e})
+		}
+		enc.Encode(apitypes.SweepSummary{Done: true, Cells: len(errs), Failed: len(errs)})
+	}))
+	defer srv.Close()
+
+	var got []string
+	summary, err := New(srv.URL).Sweep(context.Background(), apitypes.SweepRequest{}, func(c apitypes.CellResult) error {
+		got = append(got, c.Error)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(errs) {
+		t.Errorf("cells' errors = %q, want %q", got, errs)
+	}
+	if !summary.Done || summary.Cells != len(errs) || summary.Failed != len(errs) {
+		t.Errorf("summary = %+v", summary)
 	}
 }
 

@@ -255,7 +255,10 @@ func (f *Frontend) handleSweep(w http.ResponseWriter, r *http.Request) {
 			clientGone = true
 			continue
 		}
-		if flusher != nil {
+		// Flush once per drained burst: a line waits only while another
+		// is already ready, so a cold sweep still streams cell by cell
+		// and a warm one costs one write per burst, not per line.
+		if flusher != nil && len(results) == 0 {
 			flusher.Flush()
 		}
 	}
