@@ -89,6 +89,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz='^FuzzServeRequestDecode$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz='^FuzzJobWALReplay$$' -fuzztime=10s ./internal/serve/jobs
 	$(GO) test -run '^$$' -fuzz='^FuzzWatchFrameDecode$$' -fuzztime=10s ./internal/serve/apitypes
+	$(GO) test -run '^$$' -fuzz='^FuzzCellResultDecode$$' -fuzztime=10s ./internal/serve/apitypes
 	$(GO) test -run '^$$' -fuzz='^FuzzBitslicedDecode$$' -fuzztime=10s ./internal/ecc/bitslice
 
 # The conformance gate: golden-result regression, differential ECC

@@ -24,8 +24,9 @@ const cacheVersion = 2
 // the cell's mode and carve applied, the workload's complete parameter
 // set, the cycle cap, and any replay-trace identity). Any change to the
 // machine, workload, tagging mode or carve geometry therefore changes
-// the address and misses. Entries are JSON-encoded gpusim.Stats stored
-// at <dir>/<key[:2]>/<key>.json; writes go through a temp file + rename
+// the address and misses. Entries are the json.Marshal bytes of
+// gpusim.Stats (written and read by its reflection-free codec, which
+// keeps exactly that format) stored at <dir>/<key[:2]>/<key>.json; writes go through a temp file + rename
 // so concurrent sweeps sharing a directory never observe torn entries.
 type diskCache struct {
 	dir string
@@ -85,7 +86,7 @@ func (c *diskCache) load(key string) (gpusim.Stats, bool) {
 		return gpusim.Stats{}, false
 	}
 	var st gpusim.Stats
-	if err := json.Unmarshal(blob, &st); err != nil {
+	if err := st.DecodeJSON(blob); err != nil {
 		return gpusim.Stats{}, false
 	}
 	return st, true
@@ -95,7 +96,7 @@ func (c *diskCache) load(key string) (gpusim.Stats, bool) {
 // deliberately swallowed: a sweep on a read-only or full disk still
 // produces results, it just stops being cached.
 func (c *diskCache) store(key string, st gpusim.Stats) {
-	blob, err := json.Marshal(st)
+	blob, err := st.AppendJSON(nil)
 	if err != nil {
 		return
 	}

@@ -1,7 +1,10 @@
 package runner
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 
@@ -162,5 +165,59 @@ func TestCacheLookupMissOnAbsentDir(t *testing.T) {
 	cache := OpenCache(t.TempDir() + "/never-created")
 	if _, ok := cache.Lookup(CacheKey(gpusim.DefaultConfig(), tinyWorkload(1, "x"), gpusim.ModeNone, gpusim.CarveOut{})); ok {
 		t.Error("lookup against a nonexistent directory must miss")
+	}
+}
+
+// TestCacheFileFormat pins the on-disk entry format across binary
+// versions sharing one cache directory: Store writes exactly
+// json.Marshal(st), with and without a Samples series; a file written
+// by plain json.Marshal (an older binary) reads back DeepEqual through
+// Lookup; and truncated files or valid JSON of the wrong shape miss.
+func TestCacheFileFormat(t *testing.T) {
+	dir := t.TempDir()
+	cache := OpenCache(dir)
+	key := func(i int) string {
+		return CacheKey(gpusim.DefaultConfig(), tinyWorkload(int64(i+1), "fmt"), gpusim.ModeCarveOut, gpusim.CarveOut{})
+	}
+	counters := gpusim.Stats{Cycles: 182394, WarpOps: 65536, Loads: 49152, Stores: 16384, L1Hits: 30211,
+		L1Misses: 18941, DRAMDataReads: 36260, DRAMTagReads: 4533, TagL2Hits: 4532, TagL2Misses: 4533}
+	sampled := counters
+	sampled.Samples = []gpusim.Sample{
+		{Cycle: 50000, Cycles: 50000, BandwidthUtil: 0.8125, L1HitRate: 0.6, L2HitRate: 1e-7, QueueDepth: 3.25},
+		{Cycle: 182394, Cycles: 132394, TagHitRate: 0.5, MSHROccupancy: 1, DRAMQueueDepth: 1e21},
+	}
+	for i, st := range []gpusim.Stats{counters, sampled} {
+		want, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.HostNsPerOp = 12.5 // host telemetry never reaches the file
+		cache.Store(key(i), st)
+		got, err := os.ReadFile(cache.c.path(key(i)))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("stored entry %d:\n got %s (%v)\nwant %s", i, got, err, want)
+		}
+
+		// What an older binary's json.Marshal wrote reads back, and so
+		// does a spelling only json.Unmarshal accepts.
+		legacy := bytes.ReplaceAll(want, []byte(`,"`), []byte(`, "`))
+		for _, blob := range [][]byte{want, legacy} {
+			if err := os.WriteFile(cache.c.path(key(i)), blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			back, ok := cache.Lookup(key(i))
+			if !ok || !reflect.DeepEqual(back, st.WithoutHost()) {
+				t.Fatalf("Lookup of %s = %+v, %v; want %+v", blob, back, ok, st.WithoutHost())
+			}
+		}
+		for _, bad := range [][]byte{want[:len(want)-1], want[:len(want)/2], []byte(`[1,2]`),
+			[]byte(`{"Cycles":"many"}`), []byte(`{"Samples":{}}`), nil} {
+			if err := os.WriteFile(cache.c.path(key(i)), bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if back, ok := cache.Lookup(key(i)); ok {
+				t.Errorf("Lookup of %q hit with %+v, want a miss", bad, back)
+			}
+		}
 	}
 }

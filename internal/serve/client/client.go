@@ -65,7 +65,21 @@ func (c *Client) Sim(ctx context.Context, req apitypes.SimRequest) (apitypes.Cel
 		if resp.StatusCode != http.StatusOK {
 			return apiError(resp)
 		}
-		return json.NewDecoder(io.LimitReader(resp.Body, apitypes.MaxRequestBytes)).Decode(&res)
+		body, readErr := io.ReadAll(io.LimitReader(resp.Body, apitypes.MaxRequestBytes))
+		if res.ParseJSON(body) {
+			return nil
+		}
+		// Not the server's own spelling: decode the first value, as a
+		// json.Decoder over the stream would, and report a failed read
+		// rather than the truncation it caused.
+		res = apitypes.CellResult{}
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&res); err != nil {
+			if readErr != nil {
+				return readErr
+			}
+			return err
+		}
+		return nil
 	})
 	return res, err
 }
@@ -123,7 +137,7 @@ func (c *Client) sweep(ctx context.Context, req apitypes.SweepRequest, onRoom fu
 				return json.Unmarshal(line, &summary)
 			}
 			var cell apitypes.CellResult
-			if err := json.Unmarshal(line, &cell); err != nil {
+			if err := cell.DecodeJSON(line); err != nil {
 				return fmt.Errorf("client: bad sweep line: %w", err)
 			}
 			if fn != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -233,6 +234,33 @@ func TestSweepDoneInsideStrings(t *testing.T) {
 	}
 	if !summary.Done || summary.Cells != len(errs) || summary.Failed != len(errs) {
 		t.Errorf("summary = %+v", summary)
+	}
+}
+
+// TestSimDecodesFirstValue: a /v1/sim body in the server's own spelling
+// takes the strict parser; any other spelling still decodes its first
+// JSON value, as json.Decoder does.
+func TestSimDecodesFirstValue(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		want apitypes.CellResult
+	}{
+		{`{"workload":"a","mode":"imt","cached":true,"elapsed_ms":0.5,"stats":{"Cycles":7,"WarpOps":1,"Loads":0,"Stores":0,"Atomics":0,"L1Hits":0,"L1Misses":0,"L2Hits":0,"L2Misses":0,"DRAMDataReads":0,"DRAMTagReads":0,"DRAMWrites":0,"TagL2Hits":0,"TagL2Misses":0}}` + "\n",
+			apitypes.CellResult{Workload: "a", Mode: "imt", Cached: true, ElapsedMs: 0.5, Stats: &gpusim.Stats{Cycles: 7, WarpOps: 1}}},
+		{` {"mode": "imt", "workload": "a", "cached": false, "stats": {"cycles": 7}}` + "\n{trailing",
+			apitypes.CellResult{Workload: "a", Mode: "imt", Stats: &gpusim.Stats{Cycles: 7}}},
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprint(w, tc.body)
+		}))
+		got, err := New(srv.URL).Sim(context.Background(), apitypes.SimRequest{})
+		srv.Close()
+		if err != nil {
+			t.Fatalf("%q: %v", tc.body, err)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%q:\n got %+v\nwant %+v", tc.body, got, tc.want)
+		}
 	}
 }
 

@@ -74,6 +74,10 @@ func (c *Client) CancelJob(ctx context.Context, id string) (apitypes.JobInfo, er
 	return info, err
 }
 
+// stateKey marks a job stream's summary line: JobStreamSummary always
+// writes it and JobFrame has no such field.
+var stateKey = []byte(`"state":`)
+
 // StreamJob attaches to a job's frame stream at sequence from, calling
 // fn for every frame (a non-nil fn error aborts the attach) and
 // returning the stream's final summary — Done=true when the job
@@ -105,12 +109,11 @@ func (c *Client) StreamJob(ctx context.Context, id string, from int, fn func(api
 			if len(line) == 0 {
 				continue
 			}
-			// Frames carry "cell"; the summary is the only line with
-			// "state" at top level. Sniff before committing to a decode.
-			var probe struct {
-				State *apitypes.JobState `json:"state"`
-			}
-			if json.Unmarshal(line, &probe) == nil && probe.State != nil {
+			// The summary is the only line with a "state" key, and JSON
+			// escaping keeps those bytes out of any string value (a
+			// frame's cell error included), so a byte match picks it out
+			// without a probe decode.
+			if bytes.Contains(line, stateKey) {
 				if err := json.Unmarshal(line, &summary); err != nil {
 					return fmt.Errorf("client: bad job summary line: %w", err)
 				}

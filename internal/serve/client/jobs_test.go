@@ -247,3 +247,35 @@ func TestFollowJobStopsOnNotFound(t *testing.T) {
 		t.Errorf("attempts = %d, want 1", calls.Load())
 	}
 }
+
+// TestStreamJobStateInsideStrings: a frame whose cell error text
+// mentions the summary's "state" key, even as a whole summary object,
+// is a frame; the real summary line still ends the attach.
+func TestStreamJobStateInsideStrings(t *testing.T) {
+	errs := []string{`"state":"done"`, `{"state":"done"}`, `state`}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		enc := json.NewEncoder(w)
+		for i, e := range errs {
+			f := frame(i, "a", false)
+			f.Cell.Error, f.Cell.Stats = e, nil
+			enc.Encode(f)
+		}
+		enc.Encode(apitypes.JobStreamSummary{Done: true, State: apitypes.JobDone, Cells: len(errs), Failed: len(errs), NextSeq: len(errs)})
+	}))
+	defer srv.Close()
+
+	var got []string
+	summary, err := New(srv.URL).StreamJob(context.Background(), "j-1", 0, func(f apitypes.JobFrame) error {
+		got = append(got, f.Cell.Error)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(errs) {
+		t.Errorf("frames' errors = %q, want %q", got, errs)
+	}
+	if !summary.Done || summary.State != apitypes.JobDone || summary.Failed != len(errs) || summary.NextSeq != len(errs) {
+		t.Errorf("summary = %+v", summary)
+	}
+}

@@ -163,7 +163,11 @@ func (f *Frontend) handleSim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	f.mCells.Inc()
-	WriteJSON(w, http.StatusOK, res)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if line, err := appendLine(nil, &res); err == nil {
+		_, _ = w.Write(line)
+	}
 }
 
 func (f *Frontend) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -192,7 +196,7 @@ func (f *Frontend) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	var line []byte // one line buffer, reused for every cell
 
 	type reported struct {
 		res apitypes.CellResult
@@ -251,7 +255,11 @@ func (f *Frontend) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if clientGone {
 			continue // keep draining so the executor can finish
 		}
-		if err := enc.Encode(res); err != nil {
+		var err error
+		if line, err = appendLine(line[:0], &res); err == nil {
+			_, err = w.Write(line)
+		}
+		if err != nil {
 			clientGone = true
 			continue
 		}
@@ -269,7 +277,7 @@ func (f *Frontend) handleSweep(w http.ResponseWriter, r *http.Request) {
 	summary.Done = true
 	summary.Shards = len(shards)
 	summary.ElapsedMs = millisSince(t0)
-	_ = enc.Encode(summary)
+	_ = json.NewEncoder(w).Encode(summary)
 	if flusher != nil {
 		flusher.Flush()
 	}
@@ -510,6 +518,16 @@ func (f *Frontend) countStatus(status int) {
 
 func (f *Frontend) observeLatency(t0 time.Time, route string) {
 	f.mLatency.With(route).Observe(time.Since(t0).Seconds())
+}
+
+// appendLine appends res as json.Encoder would write it (json.Marshal's
+// bytes and a newline), through the CellResult codec.
+func appendLine(b []byte, res *apitypes.CellResult) ([]byte, error) {
+	b, err := res.AppendJSON(b)
+	if err != nil {
+		return b, err
+	}
+	return append(b, '\n'), nil
 }
 
 // WriteJSON writes v as a JSON response with status.
