@@ -16,6 +16,13 @@ import (
 	"repro/internal/workload"
 )
 
+// simWorkloads are the catalog workloads the sim cells pin under every
+// tagging mode: a streaming kernel, an ML layer and an irregular HPC
+// micro-benchmark.
+func simWorkloads() []string {
+	return []string{"stream-copy-16MB", "mlperf-ssd-l0", "hpc-micro0"}
+}
+
 // simModes are the tagging configurations every sim cell pins: all tag
 // modes through the simulator, with both carve-out geometries since
 // they share a TagMode but diverge in traffic.

@@ -25,17 +25,18 @@ func (f Finding) String() string { return f.Check + ": " + f.Detail }
 // Cells returns the golden-regression registry. Order is stable; names
 // are unique.
 func Cells() []Cell {
-	cells := []Cell{
-		simCell("stream-copy-16MB"),
-		simCell("mlperf-ssd-l0"),
-		simCell("hpc-micro0"),
+	var cells []Cell
+	for _, name := range simWorkloads() {
+		cells = append(cells, simCell(name))
+	}
+	cells = append(cells,
 		sampledSimCell("stream-copy-16MB"),
 		eccConstructionsCell(),
 		afteccConstructionCell(),
 		reliabilityCurveCell(),
 		securityCell(),
 		workloadCatalogCell(),
-	}
+	)
 	seen := map[string]bool{}
 	for _, c := range cells {
 		if seen[c.Name] {

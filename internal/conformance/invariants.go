@@ -15,8 +15,8 @@ import (
 // of runs — properties no golden can pin because they quantify over
 // configurations: observation (sampling) must not perturb results, the
 // two run entry points must agree, repetition must be bit-identical,
-// cloning must not alias, and more memory bandwidth must never slow a
-// run down.
+// cloning must not alias, more memory bandwidth must never slow a run
+// down, and tagging modes that share a cache key must simulate alike.
 
 // invariantWorkloads are the cells the metamorphic relations quantify
 // over: one streaming and one irregular workload, kept small so the
@@ -254,6 +254,81 @@ func checkBandwidthMonotonicity(w workload.Workload) *Finding {
 	return nil
 }
 
+// checkModeClasses verifies the equivalence every cache key rests on
+// (gpusim.Config.Canonical): each of the sim cells' tagging
+// configurations, sampled so the Samples series is compared too,
+// simulates exactly as its canonical form. It returns one run per
+// canonical class, labelled by the class's first mode, for
+// checkClassesDistinct.
+func checkModeClasses(w workload.Workload) (map[string]gpusim.Stats, *Finding) {
+	check := "invariant/mode-classes/" + w.Name
+	labels := map[string]string{}    // canonical mode and carve → class label
+	out := map[string]gpusim.Stats{} // class label → run of the canonical config
+	for _, m := range simModes() {
+		cfg := gpusim.DefaultConfig()
+		cfg.Mode, cfg.Carve = m.Mode, m.Carve
+		cfg.SampleInterval = 20000
+		st, err := runWorkload(w, cfg)
+		if err != nil {
+			return nil, &Finding{check, fmt.Sprintf("%s: %v", m.Label, err)}
+		}
+		canon := cfg.Canonical()
+		id := fmt.Sprint(canon.Mode, canon.Carve)
+		label, ok := labels[id]
+		if !ok {
+			label = m.Label
+			labels[id] = label
+			if out[label], err = runWorkload(w, canon); err != nil {
+				return nil, &Finding{check, fmt.Sprintf("%s canonical: %v", m.Label, err)}
+			}
+		}
+		d, err := statsDiff(out[label], st)
+		if err != nil {
+			return nil, &Finding{check, err.Error()}
+		}
+		if d != "" {
+			return nil, &Finding{check, fmt.Sprintf("%s simulates unlike its canonical config (%s): %s", m.Label, label, d)}
+		}
+	}
+	return out, nil
+}
+
+// checkClassesDistinct is the converse of checkModeClasses: configs
+// Canonical keeps apart, and so caches and routes apart, must differ on
+// at least one workload. A pair that never differs is a class the
+// canonicalisation failed to merge.
+func checkClassesDistinct(runs []map[string]gpusim.Stats) *Finding {
+	check := "invariant/mode-classes/distinct"
+	if len(runs) == 0 {
+		return nil
+	}
+	var labels []string
+	for _, m := range simModes() {
+		if _, ok := runs[0][m.Label]; ok {
+			labels = append(labels, m.Label)
+		}
+	}
+	for i, a := range labels {
+		for _, b := range labels[i+1:] {
+			differ := false
+			for _, r := range runs {
+				d, err := statsDiff(r[a], r[b])
+				if err != nil {
+					return &Finding{check, err.Error()}
+				}
+				if d != "" {
+					differ = true
+					break
+				}
+			}
+			if !differ {
+				return &Finding{check, fmt.Sprintf("%s and %s have distinct canonical configs but simulate identically on every workload", a, b)}
+			}
+		}
+	}
+	return nil
+}
+
 // checkRunnerCache verifies the engine's disk cache round-trip on a
 // sentinel cell: a warm re-run must hit the cache, skip the simulator,
 // and reproduce the cold run's stats exactly.
@@ -326,6 +401,20 @@ func CheckInvariants() []Finding {
 		add(checkCloneIsolation(w))
 		add(checkBandwidthMonotonicity(w))
 	}
+	var classRuns []map[string]gpusim.Stats
+	for _, name := range simWorkloads() {
+		w, err := workloadByName(name)
+		if err != nil {
+			out = append(out, Finding{"invariant/workload/" + name, err.Error()})
+			continue
+		}
+		runs, f := checkModeClasses(w)
+		add(f)
+		if runs != nil {
+			classRuns = append(classRuns, runs)
+		}
+	}
+	add(checkClassesDistinct(classRuns))
 	add(checkRunnerCache())
 	return out
 }

@@ -448,6 +448,63 @@ func TestSweepQuick(t *testing.T) {
 	}
 }
 
+// TestSweepBaselineFromRequestedColumn: a requested mode that simulates
+// as the untagged baseline supplies the baseline itself, so a sweep
+// over [none, carve-low] runs 2 cells per workload instead of 3 and
+// renders exactly the tables it rendered when the baseline was a
+// separate cell.
+func TestSweepBaselineFromRequestedColumn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	modes, err := ParseSweepModes([]string{"none", "carve-low"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Quick()
+	opts.WorkloadStride = 48 // 5 workloads
+	opts.Parallelism = 2
+	r, err := Sweep(opts, modes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := uint64(len(r.Per)); r.Runner.SimRuns != 2*n {
+		t.Errorf("%d simulations for %d workloads, want %d", r.Runner.SimRuns, n, 2*n)
+	}
+	const wantSuites = `custom sweep: slowdown vs untagged baseline by suite and mode
+=============================================================
+suite    n  mode       hmean slowdown  max slowdown
+-------  -  ---------  --------------  ------------
+STREAM   1  none       0.00%           0.0%
+STREAM   1  carve-low  3.00%           3.0%
+MLPerf   1  none       0.00%           0.0%
+MLPerf   1  carve-low  0.88%           0.9%
+HPC+SLA  3  none       0.00%           0.0%
+HPC+SLA  3  carve-low  2.16%           4.4%
+`
+	const wantPer = `custom sweep: per-workload slowdowns
+====================================
+#  workload            suite    none  carve-low
+-  ------------------  -------  ----  ---------
+1  stream-copy-16MB    STREAM   0.0%  3.0%
+2  mlperf-resnet50-l4  MLPerf   0.0%  0.9%
+3  hpc-stencil28       HPC+SLA  0.0%  2.1%
+4  md-neigh11          HPC+SLA  0.0%  4.4%
+5  hpc-micro14         HPC+SLA  0.0%  0.1%
+`
+	if got := r.Table().Render(); got != wantSuites {
+		t.Errorf("suite table:\n%s\nwant:\n%s", got, wantSuites)
+	}
+	if got := r.PerWorkloadTable().Render(); got != wantPer {
+		t.Errorf("per-workload table:\n%s\nwant:\n%s", got, wantPer)
+	}
+	for _, p := range r.Per {
+		if !reflect.DeepEqual(p.Base, p.Stats[0]) {
+			t.Errorf("%s: baseline is not the none column", p.W.Name)
+		}
+	}
+}
+
 func TestFig8Correlation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")

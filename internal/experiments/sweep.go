@@ -54,18 +54,32 @@ type SweepResult struct {
 	Runner runner.Counters
 }
 
-// Sweep runs the (workload × mode) matrix. The baseline cell is always
-// simulated (and cached) even when "none" is also a requested mode.
+// Sweep runs the (workload × mode) matrix. Slowdowns are measured
+// against the untagged baseline. When a requested mode simulates as
+// that baseline (none, imt, ecc-steal: gpusim.Config.Canonical), its
+// column is the baseline; otherwise the baseline is one extra cell per
+// workload.
 func Sweep(opts Options, modes []SweepMode) (SweepResult, error) {
 	opts = opts.fill()
 	if len(modes) == 0 {
 		return SweepResult{}, fmt.Errorf("sweep: no modes requested")
 	}
+	// Indices among a workload's jobs: first is the first requested
+	// mode's, baseCol the baseline's.
+	first, baseCol := 1, 0
+	for m, mode := range modes {
+		if (gpusim.Config{Mode: mode.Mode, Carve: mode.Carve}).Canonical().Mode == gpusim.ModeNone {
+			first, baseCol = 0, m
+			break
+		}
+	}
 	selected := strideSelect(opts.WorkloadStride)
-	width := 1 + len(modes)
+	width := first + len(modes)
 	jobs := make([]runner.Job, 0, width*len(selected))
 	for _, w := range selected {
-		jobs = append(jobs, runner.Job{Workload: w, Mode: gpusim.ModeNone})
+		if first == 1 {
+			jobs = append(jobs, runner.Job{Workload: w, Mode: gpusim.ModeNone})
+		}
 		for _, m := range modes {
 			jobs = append(jobs, runner.Job{Workload: w, Mode: m.Mode, Carve: m.Carve})
 		}
@@ -77,14 +91,15 @@ func Sweep(opts Options, modes []SweepMode) (SweepResult, error) {
 		return res, err
 	}
 	for i, w := range selected {
+		row := results[width*i : width*(i+1)]
 		p := SweepPerf{
 			W:         w,
-			Base:      results[width*i].Stats.WithoutHost(),
+			Base:      row[baseCol].Stats.WithoutHost(),
 			Stats:     make([]gpusim.Stats, len(modes)),
 			Slowdowns: make([]float64, len(modes)),
 		}
 		for m := range modes {
-			p.Stats[m] = results[width*i+1+m].Stats.WithoutHost()
+			p.Stats[m] = row[first+m].Stats.WithoutHost()
 			p.Slowdowns[m] = gpusim.Slowdown(p.Base, p.Stats[m])
 		}
 		res.Per[i] = p

@@ -62,6 +62,65 @@ func TestTagModeNamesAllParse(t *testing.T) {
 	}
 }
 
+// TestCanonicalClassifiesEveryMode walks every advertised mode spelling
+// through ParseTagMode and Canonical. The table names the spelling whose
+// configuration each one must simulate as; a mode added to
+// TagModeNames fails here until someone classifies it.
+func TestCanonicalClassifiesEveryMode(t *testing.T) {
+	class := map[string]string{
+		"none":         "none",
+		"imt":          "none",
+		"ecc-steal":    "none",
+		"carve-out":    "carve-low",
+		"carve-low":    "carve-low",
+		"carve-high":   "carve-high",
+		"carve-mte":    "carve-mte",
+		"bounds-table": "bounds-table",
+		"bounds":       "bounds-table",
+	}
+	config := func(name string) Config {
+		t.Helper()
+		mode, carve, err := ParseTagMode(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.Mode, cfg.Carve = mode, carve
+		cfg.SampleInterval = 20000
+		return cfg
+	}
+	names := TagModeNames()
+	if len(names) != len(class) {
+		t.Errorf("TagModeNames lists %d spellings, the class table %d", len(names), len(class))
+	}
+	for _, name := range names {
+		want, ok := class[name]
+		if !ok {
+			t.Errorf("mode %q is unclassified: say which configuration it simulates as", name)
+			continue
+		}
+		cfg := config(name)
+		got := cfg.Canonical()
+		if !reflect.DeepEqual(got.Canonical(), got) {
+			t.Errorf("%s: Canonical is not idempotent", name)
+		}
+		// The class representative is its own canonical form.
+		if rep := config(want); !reflect.DeepEqual(got, rep) || !reflect.DeepEqual(rep.Canonical(), rep) {
+			t.Errorf("%s: canonical %v/%+v, want %s's %v/%+v", name, got.Mode, got.Carve, want, rep.Mode, rep.Carve)
+		}
+		// Only Mode and Carve may move.
+		got.Mode, got.Carve = cfg.Mode, cfg.Carve
+		if !reflect.DeepEqual(got, cfg) {
+			t.Errorf("%s: Canonical changed a field other than Mode and Carve", name)
+		}
+	}
+	// A stray geometry is dropped wherever the simulator does not read it.
+	stray := Config{Mode: ModeIMT, Carve: CarveOutHigh, BoundsCk: 3}.Canonical()
+	if !reflect.DeepEqual(stray, Config{BoundsCk: 3}) {
+		t.Errorf("imt with a stray carve-out canonicalised to %+v", stray)
+	}
+}
+
 func streamTrace(n int) *FuncTrace {
 	return &FuncTrace{N: n, Gen: func(i int) WarpOp {
 		return WarpOp{Addrs: []uint64{uint64(i) * 32}}

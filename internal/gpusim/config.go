@@ -12,10 +12,14 @@ const (
 	// so the memory system behaves identically to ModeNone — the paper's
 	// "no storage or memory traffic overheads" claim is structural, and
 	// the simulator treats it as such (ECC encode/decode latency is part
-	// of the baseline pipeline either way).
+	// of the baseline pipeline either way). The simulator never reads
+	// it: Config.Canonical maps it to ModeNone, so an IMT cell shares
+	// its untagged twin's cache key and simulation.
 	ModeIMT
 	// ModeECCSteal: tags stored in stolen ECC check bits. Also traffic-
 	// free; the cost is reliability, not performance (see reliability).
+	// Like ModeIMT it is never read by the simulator and canonicalises
+	// to ModeNone.
 	ModeECCSteal
 	// ModeCarveOut: tags in a dedicated memory carve-out, fetched on L2
 	// data misses and cached in the L2 (the ARM-MTE/LAK-like baseline).
@@ -74,6 +78,25 @@ func ParseTagMode(s string) (TagMode, CarveOut, error) {
 // TagModeNames lists the spellings ParseTagMode accepts, for usage text.
 func TagModeNames() []string {
 	return []string{"none", "imt", "ecc-steal", "carve-out", "carve-low", "carve-high", "carve-mte", "bounds-table", "bounds"}
+}
+
+// Canonical returns the configuration the simulator actually runs: two
+// configurations with equal Canonical forms simulate identically, bit
+// for bit. ModeIMT and ModeECCSteal add no traffic and no cycles, so
+// they map to ModeNone; Carve is read only in ModeCarveOut, so it is
+// zeroed everywhere else. Every other field, BoundsCk included, is kept
+// as is, so the canonical form of a none, carve-out or bounds-table
+// configuration is the configuration itself. Cache keys hash this form
+// (runner.CacheKeyFor); the conformance invariant
+// "invariant/mode-classes" checks the equivalence on real runs.
+func (c Config) Canonical() Config {
+	if c.Mode == ModeIMT || c.Mode == ModeECCSteal {
+		c.Mode = ModeNone
+	}
+	if c.Mode != ModeCarveOut {
+		c.Carve = CarveOut{}
+	}
+	return c
 }
 
 // CarveOut describes the tag-store geometry for ModeCarveOut.

@@ -20,14 +20,17 @@ import (
 const cacheVersion = 2
 
 // diskCache is a content-addressed result store: the key is SHA-256 over
-// a canonical JSON encoding of (cache version, full machine config with
-// the cell's mode and carve applied, the workload's complete parameter
-// set, the cycle cap, and any replay-trace identity). Any change to the
-// machine, workload, tagging mode or carve geometry therefore changes
-// the address and misses. Entries are the json.Marshal bytes of
-// gpusim.Stats (written and read by its reflection-free codec, which
-// keeps exactly that format) stored at <dir>/<key[:2]>/<key>.json; writes go through a temp file + rename
-// so concurrent sweeps sharing a directory never observe torn entries.
+// a canonical JSON encoding of (cache version, the canonical form of the
+// machine config with the cell's mode and carve applied, the workload's
+// complete parameter set, the cycle cap, and any replay-trace identity).
+// Any change to what the simulator reads — machine, workload, a
+// traffic-bearing tagging mode or carve geometry — therefore changes
+// the address and misses, while none, imt and ecc-steal, which simulate
+// identically (gpusim.Config.Canonical), share one address. Entries are
+// the json.Marshal bytes of gpusim.Stats (written and read by its
+// reflection-free codec, which keeps exactly that format) stored at
+// <dir>/<key[:2]>/<key>.json; writes go through a temp file + rename so
+// concurrent sweeps sharing a directory never observe torn entries.
 type diskCache struct {
 	dir string
 }
@@ -44,13 +47,15 @@ type cacheID struct {
 
 // cacheKeyFor hashes the canonical key material for a cell. cfg must
 // already carry the cell's Mode, Carve and sampling interval (see
-// jobConfig). It is the single key implementation shared by
-// the engine and the exported CacheKey/CacheKeyFor helpers, so key
-// equality is cache-hit behavior by construction.
+// jobConfig); only its Canonical form enters the key, while the
+// simulation itself still runs cfg as given. It is the single key
+// implementation shared by the engine and the exported
+// CacheKey/CacheKeyFor helpers, so key equality is cache-hit behavior
+// by construction.
 func cacheKeyFor(cfg gpusim.Config, job Job) string {
 	id := cacheID{
 		Version:   cacheVersion,
-		Config:    cfg,
+		Config:    cfg.Canonical(),
 		MaxCycles: job.MaxCycles,
 	}
 	// A non-empty Key is a trace identity (e.g. "trace:<digest>" from

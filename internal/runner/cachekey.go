@@ -30,10 +30,12 @@ func CacheKeyFor(cfg gpusim.Config, job Job) (string, bool) {
 
 // CacheKey is the common-case CacheKeyFor: the cache identity of a
 // catalog workload under one tagging configuration with the default
-// cycle cap. Equal keys imply identical simulations (same machine,
-// workload parameters, mode, carve geometry and cache schema version).
-// The converse does not hold: none, imt and ecc-steal have distinct
-// keys yet simulate identically (TestIMTMatchesBaselineExactly).
+// cycle cap. Equal keys imply identical simulations (same canonical
+// machine, workload parameters, carve geometry and cache schema
+// version). Keys follow gpusim.Config.Canonical, so none, imt and
+// ecc-steal, which simulate identically, share one key, and the cache,
+// the shard singleflight and gateway routing all treat them as one
+// cell; every other mode keeps a key of its own.
 func CacheKey(cfg gpusim.Config, w workload.Workload, mode gpusim.TagMode, carve gpusim.CarveOut) string {
 	key, _ := CacheKeyFor(cfg, Job{Workload: w, Mode: mode, Carve: carve})
 	return key

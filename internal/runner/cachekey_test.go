@@ -76,15 +76,28 @@ func TestCacheKeySensitivity(t *testing.T) {
 	if k := CacheKey(cfg, w, gpusim.ModeNone, gpusim.CarveOut{}); k != base {
 		t.Error("identical cell produced a different key")
 	}
-	if k := CacheKey(cfg, w, gpusim.ModeIMT, gpusim.CarveOut{}); k == base {
-		t.Error("mode change did not change the key")
+	// imt and ecc-steal add no traffic and no cycles: the simulator
+	// runs them exactly as none, so they share none's key.
+	if k := CacheKey(cfg, w, gpusim.ModeIMT, gpusim.CarveOut{}); k != base {
+		t.Error("imt must share none's key")
 	}
-	if k := CacheKey(cfg, w, gpusim.ModeCarveOut, gpusim.CarveOutLow); k == base {
-		t.Error("carve mode did not change the key")
+	if k := CacheKey(cfg, w, gpusim.ModeECCSteal, gpusim.CarveOut{}); k != base {
+		t.Error("ecc-steal must share none's key")
 	}
-	low := CacheKey(cfg, w, gpusim.ModeCarveOut, gpusim.CarveOutLow)
-	if k := CacheKey(cfg, w, gpusim.ModeCarveOut, gpusim.CarveOutHigh); k == low {
-		t.Error("carve geometry did not change the key")
+	// The traffic- and latency-bearing modes stay apart from none and
+	// from each other.
+	keys := map[string]string{"none": base}
+	for name, k := range map[string]string{
+		"carve-low":    CacheKey(cfg, w, gpusim.ModeCarveOut, gpusim.CarveOutLow),
+		"carve-high":   CacheKey(cfg, w, gpusim.ModeCarveOut, gpusim.CarveOutHigh),
+		"bounds-table": CacheKey(cfg, w, gpusim.ModeBoundsTable, gpusim.CarveOut{}),
+	} {
+		for other, ok := range keys {
+			if k == ok {
+				t.Errorf("%s and %s share a key", name, other)
+			}
+		}
+		keys[name] = k
 	}
 	bigger := cfg
 	bigger.L2SliceBytes *= 2
@@ -149,8 +162,13 @@ func TestCacheKeyTraceParity(t *testing.T) {
 	if k, _ := CacheKeyFor(cfg, Job{Key: "trace:cd34", Mode: gpusim.ModeIMT}); k == gateway {
 		t.Error("digest change did not change the key")
 	}
-	if k, _ := CacheKeyFor(cfg, Job{Key: name, Mode: gpusim.ModeNone}); k == gateway {
+	none, _ := CacheKeyFor(cfg, Job{Key: name, Mode: gpusim.ModeNone})
+	if k, _ := CacheKeyFor(cfg, Job{Key: name, Mode: gpusim.ModeCarveOut, Carve: gpusim.CarveOutLow}); k == none {
 		t.Error("mode change did not change the key")
+	}
+	// imt simulates exactly as none, for a trace as for a catalog cell.
+	if none != gateway {
+		t.Error("trace-keyed imt must share none's key")
 	}
 	if k, _ := CacheKeyFor(cfg, Job{Key: name, Mode: gpusim.ModeIMT, MaxCycles: 99}); k == gateway {
 		t.Error("cycle cap did not change the key")

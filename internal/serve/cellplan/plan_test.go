@@ -21,19 +21,33 @@ func newPlan(maxCells int) *Plan {
 
 // TestSampledCellKeysPinned pins the cache keys of sampled cells to
 // fixed bytes. A change to them turns every warm cache entry for a
-// sampled cell cold and routes those cells to different shards.
+// sampled cell cold and routes those cells to different shards. imt
+// and ecc-steal simulate exactly as none does, so they carry none's key
+// (gpusim.Config.Canonical); every other mode's key is the one it had
+// before keys were canonicalised.
 func TestSampledCellKeysPinned(t *testing.T) {
 	p := newPlan(16)
 	trace := "trace:ab" + strings.Repeat("0", 62)
+	const (
+		catalogNone = "cd0cc27c2c37aa2325df033548685085fd9c48a02177d6264a7647ee1337b365"
+		traceNone   = "5eded3d4540af5185afacbabff6da0df253c95e7eb2723a4d0ce4569270085d9"
+	)
 	for _, tc := range []struct {
 		name, mode          string
 		maxCycles, interval uint64
 		want                string
 	}{
-		{"stream-copy-16MB", "imt", 0, 50000, "417adaab8f9ecacae01239cfed3d2954294002917aefc78f23c940505ba51355"},
+		{"stream-copy-16MB", "none", 0, 50000, catalogNone},
+		{"stream-copy-16MB", "imt", 0, 50000, catalogNone},
+		{"stream-copy-16MB", "ecc-steal", 0, 50000, catalogNone},
 		{"stream-copy-16MB", "carve-low", 0, 50000, "51aa7cf3efd63b18c6a30e940646c96dc1e6cb7f53111cccf728013c1fedf6f5"},
-		{trace, "imt", 100000, 50000, "73e92a77004dfcbcbc22340ee34691261b228becfa1e9541a299ac6789b71e8d"},
+		{"stream-copy-16MB", "carve-high", 0, 50000, "28fd93e866fe6f3cbf11fcc94adef27061fc8de5476c04f3260c78e20fa41707"},
+		{"stream-copy-16MB", "bounds-table", 0, 50000, "050555f41872f35ef318e38eb453a442562ea75a1e771484fd2bcfe8d6c47c16"},
+		{trace, "none", 100000, 50000, traceNone},
+		{trace, "imt", 100000, 50000, traceNone},
 		{trace, "carve-low", 100000, 50000, "7ca9e761d57af8313755bc76fed28fe23e4c7730cd708187106ca3b9468294cd"},
+		{trace, "carve-high", 100000, 50000, "77dda87050e71999ec37cd52901d02c5893e78d36e90858f577b8d661aec86f9"},
+		{trace, "bounds-table", 100000, 50000, "6d1501141c3459d64200d931448c3d8e7dcd3229dc8d9ce6f2ea94eddd82ea95"},
 	} {
 		cell, err := p.ResolveCell(tc.name, tc.mode, tc.maxCycles, tc.interval)
 		if err != nil {

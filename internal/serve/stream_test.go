@@ -73,7 +73,9 @@ func TestSweepStreamsFirstCellBeforeTheRest(t *testing.T) {
 				var o outcome
 				o.summary, o.err = client.New(url).Sweep(ctx, apitypes.SweepRequest{
 					Workloads: []string{"stream-copy-16MB"},
-					Modes:     []string{"none", "imt", "carve-low"},
+					// Three distinct cache keys: an imt cell would share
+					// none's key and coalesce onto the unblocked run.
+					Modes: []string{"none", "carve-low", "carve-high"},
 				}, func(c apitypes.CellResult) error {
 					o.cells++
 					if o.cells == 1 {

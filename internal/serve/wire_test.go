@@ -177,7 +177,8 @@ func TestFrontendLinesTakeStrictPath(t *testing.T) {
 			}
 
 			// Coalescing needs a duplicate to arrive while the first is
-			// still running; each try uses a fresh cell.
+			// still running; each try uses a fresh cache key (imt and
+			// ecc-steal share none's, so they come back cached).
 			for _, mode := range gpusim.TagModeNames() {
 				if kinds["coalesced"] > 0 {
 					break
