@@ -23,19 +23,19 @@ func simWorkloads() []string {
 	return []string{"stream-copy-16MB", "mlperf-ssd-l0", "hpc-micro0"}
 }
 
-// simModes are the tagging configurations every sim cell pins: all tag
-// modes through the simulator, with both carve-out geometries since
-// they share a TagMode but diverge in traffic.
-func simModes() []struct {
+// simMode is one tagging configuration, labelled as the serving API
+// spells it.
+type simMode struct {
 	Label string
 	Mode  gpusim.TagMode
 	Carve gpusim.CarveOut
-} {
-	return []struct {
-		Label string
-		Mode  gpusim.TagMode
-		Carve gpusim.CarveOut
-	}{
+}
+
+// simModes are the tagging configurations every sim cell pins: all tag
+// modes through the simulator, with both carve-out geometries since
+// they share a TagMode but diverge in traffic.
+func simModes() []simMode {
+	return []simMode{
 		{"none", gpusim.ModeNone, gpusim.CarveOut{}},
 		{"imt", gpusim.ModeIMT, gpusim.CarveOut{}},
 		{"ecc-steal", gpusim.ModeECCSteal, gpusim.CarveOut{}},

@@ -36,6 +36,8 @@ func Cells() []Cell {
 		reliabilityCurveCell(),
 		securityCell(),
 		workloadCatalogCell(),
+		reproQuickGridCell(),
+		sweepColdGridCell(),
 	)
 	seen := map[string]bool{}
 	for _, c := range cells {

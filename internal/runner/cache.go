@@ -5,8 +5,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 
 	"repro/internal/gpusim"
 	"repro/internal/workload"
@@ -31,8 +34,46 @@ const cacheVersion = 2
 // reflection-free codec, which keeps exactly that format) stored at
 // <dir>/<key[:2]>/<key>.json; writes go through a temp file + rename so
 // concurrent sweeps sharing a directory never observe torn entries.
+//
+// A lookup costs one stat of the entry file while the memo holds the
+// entry's decoded Stats, and one read plus decode otherwise. The memo
+// is bounded by memoBudget and trusts an entry only while the file on
+// disk is the one it was filled from, so a deleted entry still misses
+// (and leaves the memo), and a replaced or rewritten one is read again.
 type diskCache struct {
-	dir string
+	dir    string
+	budget int64 // memoBudget; tests shrink it
+
+	mu        sync.Mutex
+	memo      map[string]memoEntry
+	memoBytes int64
+}
+
+// memoBudget bounds the entry-file bytes whose decoded Stats one cache
+// handle keeps. An entry's Stats occupy about as many bytes decoded as
+// encoded (a Sample's JSON outweighs its 72-byte struct), so this is
+// also roughly the memo's heap.
+const memoBudget = 8 << 20
+
+// memoOverhead is charged per memo entry on top of its file size: the
+// key string, the FileInfo and the map slot.
+const memoOverhead = 256
+
+func newDiskCache(dir string) *diskCache {
+	return &diskCache{dir: filepath.Clean(dir), budget: memoBudget}
+}
+
+// memoEntry is one decoded entry and the identity of the file it was
+// decoded from.
+type memoEntry struct {
+	file  os.FileInfo
+	stats gpusim.Stats
+}
+
+// sameFile reports whether the entry file at stat time is the one the
+// memo entry was filled from: the same file object, size and mtime.
+func (m memoEntry) sameFile(fi os.FileInfo) bool {
+	return os.SameFile(m.file, fi) && m.file.Size() == fi.Size() && m.file.ModTime().Equal(fi.ModTime())
 }
 
 // cacheID is the canonical key material. encoding/json emits struct
@@ -79,22 +120,105 @@ func cacheKeyFor(cfg gpusim.Config, job Job) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// path is filepath.Join(dir, key[:2], key+".json"), concatenated: dir
+// is clean and a key is hex, so there is nothing left to clean.
 func (c *diskCache) path(key string) string {
-	return filepath.Join(c.dir, key[:2], key+".json")
+	const sep = string(filepath.Separator)
+	return c.dir + sep + key[:2] + sep + key + ".json"
 }
 
 // load returns the cached stats for key, reporting a miss for absent or
-// unreadable entries (a corrupt file is simply re-simulated).
+// unreadable entries (a corrupt file is simply re-simulated). The
+// caller owns the returned Samples.
 func (c *diskCache) load(key string) (gpusim.Stats, bool) {
-	blob, err := os.ReadFile(c.path(key))
+	path := c.path(key)
+	fi, err := os.Stat(path)
 	if err != nil {
+		c.forget(key)
 		return gpusim.Stats{}, false
+	}
+	c.mu.Lock()
+	m, ok := c.memo[key]
+	c.mu.Unlock()
+	if ok && m.sameFile(fi) {
+		return withOwnSamples(m.stats), true
+	}
+	st, fi, err := readEntry(path)
+	if err != nil {
+		c.forget(key)
+		return gpusim.Stats{}, false
+	}
+	c.remember(key, memoEntry{file: fi, stats: st})
+	return withOwnSamples(st), true
+}
+
+// readEntry decodes the entry file at path, returning the FileInfo of
+// the file it actually read.
+func readEntry(path string) (gpusim.Stats, os.FileInfo, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return gpusim.Stats{}, nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return gpusim.Stats{}, nil, err
+	}
+	// A file that changes size under the read fails ReadFull or the
+	// decode: a miss, never a torn hit.
+	blob := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, blob); err != nil {
+		return gpusim.Stats{}, nil, err
 	}
 	var st gpusim.Stats
 	if err := st.DecodeJSON(blob); err != nil {
-		return gpusim.Stats{}, false
+		return gpusim.Stats{}, nil, err
 	}
-	return st, true
+	return st, fi, nil
+}
+
+// withOwnSamples returns st with a private copy of its Samples, so no
+// caller can reach into the memo.
+func withOwnSamples(st gpusim.Stats) gpusim.Stats {
+	st.Samples = slices.Clone(st.Samples)
+	return st
+}
+
+// remember memoises m under key, evicting arbitrary entries until it
+// fits the budget; an entry larger than the whole budget is not kept.
+func (c *diskCache) remember(key string, m memoEntry) {
+	cost := m.file.Size() + memoOverhead
+	if cost > c.budget {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.dropLocked(key)
+	for k := range c.memo {
+		if c.memoBytes+cost <= c.budget {
+			break
+		}
+		c.dropLocked(k)
+	}
+	if c.memo == nil {
+		c.memo = make(map[string]memoEntry)
+	}
+	c.memo[key] = m
+	c.memoBytes += cost
+}
+
+// forget drops key from the memo.
+func (c *diskCache) forget(key string) {
+	c.mu.Lock()
+	c.dropLocked(key)
+	c.mu.Unlock()
+}
+
+func (c *diskCache) dropLocked(key string) {
+	if m, ok := c.memo[key]; ok {
+		c.memoBytes -= m.file.Size() + memoOverhead
+		delete(c.memo, key)
+	}
 }
 
 // store writes the stats under key, atomically. Cache write failures are

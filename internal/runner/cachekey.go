@@ -47,19 +47,21 @@ func CacheKey(cfg gpusim.Config, w workload.Workload, mode gpusim.TagMode, carve
 // are shared bidirectionally with engines pointed at the same
 // directory.
 type Cache struct {
-	c diskCache
+	c *diskCache
 }
 
 // OpenCache returns a handle on the cache rooted at dir. The directory
 // is created lazily on first Store; a Lookup against a nonexistent
 // directory is simply a miss.
 func OpenCache(dir string) *Cache {
-	return &Cache{c: diskCache{dir: dir}}
+	return &Cache{c: newDiskCache(dir)}
 }
 
 // Lookup returns the cached stats for key, reporting a miss for absent
 // or unreadable entries (same contract as the engine's own lookup: a
-// corrupt entry is a miss, never an error).
+// corrupt entry is a miss, never an error). Each handle memoises the
+// entries it decodes, bounded and checked against the file on every
+// lookup (see diskCache); the returned Samples are the caller's own.
 func (c *Cache) Lookup(key string) (gpusim.Stats, bool) {
 	return c.c.load(key)
 }

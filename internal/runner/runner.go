@@ -176,7 +176,7 @@ var nsPerOpBuckets = []float64{100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50
 func New(cfg gpusim.Config, opts Options) *Engine {
 	e := &Engine{cfg: cfg, opts: opts}
 	if opts.CacheDir != "" {
-		e.cache = &diskCache{dir: opts.CacheDir}
+		e.cache = newDiskCache(opts.CacheDir)
 	}
 	if h := opts.Obs; h != nil && h.Metrics != nil {
 		// Registered eagerly so the metric set is stable (and present in

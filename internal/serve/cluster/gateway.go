@@ -344,12 +344,12 @@ func (g *Gateway) shardFailed(ss *shardState) {
 // client sees every cell exactly once however many times a shard died
 // mid-flight.
 func (g remote) Sweep(ctx context.Context, req apitypes.SweepRequest, cells []cellplan.Cell,
-	_ func(cellplan.Cell) func(runner.LiveSample), emitCell func(apitypes.CellResult, error)) {
-	emit := func(res apitypes.CellResult, err error) {
+	_ func(cellplan.Cell) func(runner.LiveSample), emitCells func(...serve.CellReport)) {
+	emit := func(res apitypes.CellResult) {
 		if res.Rerouted {
 			g.mRerouted.Inc()
 		}
-		emitCell(res, err)
+		emitCells(serve.CellReport{Result: res})
 	}
 	var wg sync.WaitGroup
 	groups, unroutable := g.assign(cells)
@@ -370,7 +370,7 @@ func (g remote) Sweep(ctx context.Context, req apitypes.SweepRequest, cells []ce
 // verdict gets one push-and-retry on the same shard (ensured bounds
 // it): the gateway copies the missing blobs over from whichever shard
 // holds them, then resubmits the same cell list.
-func (g *Gateway) sweepShard(ctx context.Context, wg *sync.WaitGroup, emit func(apitypes.CellResult, error), url string, cells []cellplan.Cell, req apitypes.SweepRequest, hops int, ensured bool) {
+func (g *Gateway) sweepShard(ctx context.Context, wg *sync.WaitGroup, emit func(apitypes.CellResult), url string, cells []cellplan.Cell, req apitypes.SweepRequest, hops int, ensured bool) {
 	defer wg.Done()
 	shardReq := apitypes.SweepRequest{
 		Cells:          cellplan.Refs(cells),
@@ -384,7 +384,7 @@ func (g *Gateway) sweepShard(ctx context.Context, wg *sync.WaitGroup, emit func(
 		res.Shard = url
 		res.Rerouted = hops > 0
 		seen[apitypes.CellRef{Workload: res.Workload, Mode: res.Mode}] = true
-		emit(res, nil)
+		emit(res)
 		return nil
 	})
 	if err == nil {
@@ -452,14 +452,14 @@ func traceDigests(cells []cellplan.Cell) []string {
 }
 
 // failCells reports cells that no shard will deliver.
-func (g *Gateway) failCells(emit func(apitypes.CellResult, error), cells []cellplan.Cell, hops int, msg string) {
+func (g *Gateway) failCells(emit func(apitypes.CellResult), cells []cellplan.Cell, hops int, msg string) {
 	for _, c := range cells {
 		emit(apitypes.CellResult{
 			Workload: c.Ref.Workload,
 			Mode:     c.Ref.Mode,
 			Error:    msg,
 			Rerouted: hops > 0,
-		}, nil)
+		})
 	}
 }
 

@@ -390,10 +390,10 @@ func TestGatewayBreakerProbeLifecycle(t *testing.T) {
 func TestGatewaySimReroute(t *testing.T) {
 	gw, chaoses, urls := newFleet(t, 2)
 
-	// Find a cell owned by shard 0 — deterministic for whatever ports
-	// the fleet got.
-	var victimCell apitypes.CellRef
-	found := false
+	// The victim is the shard owning the grid's first cell: ring
+	// placement hashes the shard URLs, so which shard owns what (and
+	// whether one of two shards owns nothing of a small grid) depends on
+	// the ports the fleet got.
 	var req apitypes.SweepRequest
 	if err := json.Unmarshal([]byte(sweepBody), &req); err != nil {
 		t.Fatal(err)
@@ -402,16 +402,13 @@ func TestGatewaySimReroute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range cells {
-		if gw.ring.Owner(c.Key) == urls[0] {
-			victimCell, found = c.Ref, true
-			break
-		}
+	victimCell := cells[0].Ref
+	victim := 0
+	if gw.ring.Owner(cells[0].Key) == urls[1] {
+		victim = 1
 	}
-	if !found {
-		t.Fatal("shard 0 owns none of the 16-cell grid; ring is degenerate")
-	}
-	chaoses[0].armSimFail.Store(true)
+	survivor := 1 - victim
+	chaoses[victim].armSimFail.Store(true)
 
 	body := fmt.Sprintf(`{"workload":%q,"mode":%q}`, victimCell.Workload, victimCell.Mode)
 	rec := gwPost(t, gw.Handler(), "/v1/sim", body)
@@ -425,15 +422,15 @@ func TestGatewaySimReroute(t *testing.T) {
 	if !res.Rerouted {
 		t.Error("result not flagged rerouted")
 	}
-	if res.Shard != urls[1] {
-		t.Errorf("served by %q, want the surviving shard %q", res.Shard, urls[1])
+	if res.Shard != urls[survivor] {
+		t.Errorf("served by %q, want the surviving shard %q", res.Shard, urls[survivor])
 	}
 	if res.Stats == nil || res.Stats.Cycles == 0 {
 		t.Errorf("rerouted cell came back without stats: %+v", res)
 	}
 
 	// With every shard failing, the gateway reports the fleet down.
-	chaoses[1].armSimFail.Store(true)
+	chaoses[survivor].armSimFail.Store(true)
 	rec = gwPost(t, gw.Handler(), "/v1/sim", body)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("sim with all shards failing = %d, want 503", rec.Code)

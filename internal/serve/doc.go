@@ -17,7 +17,9 @@
 //     collapsed into one simulation whose result every waiter shares,
 //     so a thundering herd of the same cell costs one run.
 //   - result caching: the runner's on-disk cache is consulted before
-//     admission, so warm cells cost one file read and no queue slot.
+//     admission, so a warm cell costs a stat of its entry (or one file
+//     read, until the cache's memo holds it) and no queue slot; a
+//     sweep sends all its cached cells first, as one burst.
 //   - deadlines: per-request timeouts propagate via context into
 //     gpusim.RunContext; an exceeded deadline maps to 504.
 //   - streaming: sweep grids are expanded server-side and results

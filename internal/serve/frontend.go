@@ -34,12 +34,21 @@ type Executor interface {
 	// answered by Frontend.Fail.
 	Sim(ctx context.Context, req apitypes.SimRequest, cell cellplan.Cell, sink func(runner.LiveSample)) (apitypes.CellResult, error)
 	// Sweep runs a /v1/sweep grid and reports every cell through emit
-	// (safe for concurrent use) as it completes, with the error that
-	// failed it or with a result that carries Error itself. It returns
-	// once every cell has been reported. sinks gives each cell's
-	// live-sample sink (nil for an unwatched sweep).
+	// (safe for concurrent use) as it completes. One call may report
+	// several cells: a burst, which the front end writes with one
+	// flush; emit keeps the slice it is given. It returns once every
+	// cell has been reported. sinks gives each cell's live-sample sink
+	// (nil for an unwatched sweep).
 	Sweep(ctx context.Context, req apitypes.SweepRequest, cells []cellplan.Cell,
-		sinks func(cellplan.Cell) func(runner.LiveSample), emit func(apitypes.CellResult, error))
+		sinks func(cellplan.Cell) func(runner.LiveSample), emit func(...CellReport))
+}
+
+// CellReport is one cell an Executor's Sweep reports: its result, and
+// the error that failed it, if any (a result may also carry Error
+// itself).
+type CellReport struct {
+	Result apitypes.CellResult
+	Err    error
 }
 
 // FrontendOptions configures a Frontend.
@@ -198,17 +207,11 @@ func (f *Frontend) handleSweep(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	var line []byte // one line buffer, reused for every cell
 
-	type reported struct {
-		res apitypes.CellResult
-		err error
-	}
 	// A little slack, so a shard stream or a finished simulation rarely
 	// waits on a client write; the merge below is the only reader.
-	results := make(chan reported, 64)
+	results := make(chan []CellReport, 64)
 	go func() {
-		f.opts.Exec.Sweep(ctx, req, cells, sinks, func(res apitypes.CellResult, err error) {
-			results <- reported{res, err}
-		})
+		f.opts.Exec.Sweep(ctx, req, cells, sinks, func(burst ...CellReport) { results <- burst })
 		close(results)
 	}()
 
@@ -219,54 +222,56 @@ func (f *Frontend) handleSweep(w http.ResponseWriter, r *http.Request) {
 	delivered := make(map[apitypes.CellRef]bool, len(cells))
 	shards := make(map[string]bool)
 	clientGone := false
-	for n := range results {
-		res := n.res
-		ref := apitypes.CellRef{Workload: res.Workload, Mode: res.Mode}
-		if delivered[ref] {
-			continue
+	for burst := range results {
+		for _, n := range burst {
+			res := n.Result
+			ref := apitypes.CellRef{Workload: res.Workload, Mode: res.Mode}
+			if delivered[ref] {
+				continue
+			}
+			delivered[ref] = true
+			if n.Err != nil {
+				res.Error = n.Err.Error()
+				res.Stats = nil
+				f.countError(n.Err)
+			}
+			if res.Error != "" {
+				summary.Failed++
+			} else {
+				f.mCells.Inc()
+			}
+			if room != nil {
+				publishCellDone(room, res, nil)
+				res.WatchRoom = room.Code()
+			}
+			if res.Cached {
+				summary.Cached++
+			}
+			if res.Coalesced {
+				summary.Coalesced++
+			}
+			if res.Rerouted {
+				summary.Rerouted++
+			}
+			if res.Shard != "" {
+				shards[res.Shard] = true
+			}
+			if clientGone {
+				continue // keep draining so the executor can finish
+			}
+			var err error
+			if line, err = appendLine(line[:0], &res); err == nil {
+				_, err = w.Write(line)
+			}
+			if err != nil {
+				clientGone = true
+			}
 		}
-		delivered[ref] = true
-		if n.err != nil {
-			res.Error = n.err.Error()
-			res.Stats = nil
-			f.countError(n.err)
-		}
-		if res.Error != "" {
-			summary.Failed++
-		} else {
-			f.mCells.Inc()
-		}
-		if room != nil {
-			publishCellDone(room, res, nil)
-			res.WatchRoom = room.Code()
-		}
-		if res.Cached {
-			summary.Cached++
-		}
-		if res.Coalesced {
-			summary.Coalesced++
-		}
-		if res.Rerouted {
-			summary.Rerouted++
-		}
-		if res.Shard != "" {
-			shards[res.Shard] = true
-		}
-		if clientGone {
-			continue // keep draining so the executor can finish
-		}
-		var err error
-		if line, err = appendLine(line[:0], &res); err == nil {
-			_, err = w.Write(line)
-		}
-		if err != nil {
-			clientGone = true
-			continue
-		}
-		// Flush once per drained burst: a line waits only while another
-		// is already ready, so a cold sweep still streams cell by cell
-		// and a warm one costs one write per burst, not per line.
-		if flusher != nil && len(results) == 0 {
+		// Flush once per drained burst: lines wait only while another
+		// burst is already ready, so a cold sweep still streams cell by
+		// cell, and a shard's cached cells, reported as one burst, cost
+		// one flush together.
+		if !clientGone && flusher != nil && len(results) == 0 {
 			flusher.Flush()
 		}
 	}

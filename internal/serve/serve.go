@@ -338,22 +338,37 @@ func (l local) Sim(ctx context.Context, _ apitypes.SimRequest, cell cellplan.Cel
 	return l.runCell(ctx, cell, false, sink)
 }
 
-// Sweep runs every cell through the same path as a /v1/sim request, but
-// with patient admission: the sweep's concurrency (bounded here to the
-// worker count) is its flow control, so its cells wait for slots
-// instead of tripping the interactive queue bound.
+// Sweep answers every cached cell first, inline and as one burst, so
+// the front end writes them with a single flush. The misses then run
+// through the same path as a /v1/sim request on at most Workers
+// goroutines, which take them in plan order, with patient admission:
+// the sweep's concurrency is its flow control, so its cells wait for
+// slots instead of tripping the interactive queue bound.
 func (l local) Sweep(ctx context.Context, _ apitypes.SweepRequest, cells []cellplan.Cell,
-	sinks func(cellplan.Cell) func(runner.LiveSample), emit func(apitypes.CellResult, error)) {
-	sem := make(chan struct{}, l.opts.Workers)
-	var wg sync.WaitGroup
+	sinks func(cellplan.Cell) func(runner.LiveSample), emit func(...CellReport)) {
+	var hits []CellReport
+	misses := make(chan cellplan.Cell, len(cells)) // never blocks: one send per cell at most
 	for _, cell := range cells {
+		if res, ok := l.cached(cell, time.Now()); ok {
+			hits = append(hits, CellReport{Result: res})
+		} else {
+			misses <- cell
+		}
+	}
+	close(misses)
+	if len(hits) > 0 {
+		emit(hits...)
+	}
+	var wg sync.WaitGroup
+	for w := min(l.opts.Workers, len(misses)); w > 0; w-- {
 		wg.Add(1)
-		go func(cell cellplan.Cell) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			emit(l.runCell(ctx, cell, true, sinks(cell)))
-		}(cell)
+			for cell := range misses {
+				res, err := l.runCell(ctx, cell, true, sinks(cell))
+				emit(CellReport{Result: res, Err: err})
+			}
+		}()
 	}
 	wg.Wait()
 }
@@ -367,19 +382,10 @@ func (l local) Sweep(ctx context.Context, _ apitypes.SweepRequest, cells []cellp
 // watcher sees their cell-done frame only).
 func (s *Server) runCell(ctx context.Context, cell cellplan.Cell, patient bool, sink func(runner.LiveSample)) (apitypes.CellResult, error) {
 	t0 := time.Now()
-	res := apitypes.CellResult{Workload: cell.Ref.Workload, Mode: cell.Ref.Mode, CacheKey: shortKey(cell.Key)}
-
-	// Fast path: a warm cell costs one file read, no queue slot.
-	if s.cache != nil {
-		if st, ok := s.cache.Lookup(cell.Key); ok {
-			s.mCacheHits.Inc()
-			res.Cached = true
-			res.Stats = &st
-			res.ElapsedMs = millisSince(t0)
-			return res, nil
-		}
+	if res, ok := s.cached(cell, t0); ok {
+		return res, nil
 	}
-
+	res := newCellResult(cell)
 	out, shared, err := s.flights.do(ctx, cell.Key, func() outcome {
 		return s.execute(ctx, cell, patient, sink)
 	})
@@ -396,13 +402,39 @@ func (s *Server) runCell(ctx context.Context, cell cellplan.Cell, patient bool, 
 	if out.err != nil {
 		return res, out.err
 	}
-	res.Cached = res.Cached || out.cached
+	res.Cached = out.cached
 	if out.cached {
 		s.mCacheHits.Inc()
 	}
 	st := out.stats
 	res.Stats = &st
 	return res, nil
+}
+
+// cached answers cell from the result cache, reporting false on a miss;
+// t0 is when the cell's service began. It is the one cache-hit path, of
+// /v1/sim, jobs and a sweep's burst alike: no queue slot, and a stat of
+// the entry file while the cache's memo holds it, one file read
+// otherwise.
+func (s *Server) cached(cell cellplan.Cell, t0 time.Time) (apitypes.CellResult, bool) {
+	if s.cache == nil {
+		return apitypes.CellResult{}, false
+	}
+	st, ok := s.cache.Lookup(cell.Key)
+	if !ok {
+		return apitypes.CellResult{}, false
+	}
+	s.mCacheHits.Inc()
+	res := newCellResult(cell)
+	res.Cached = true
+	res.Stats = &st
+	res.ElapsedMs = millisSince(t0)
+	return res, true
+}
+
+// newCellResult is the identity part of cell's result line.
+func newCellResult(cell cellplan.Cell) apitypes.CellResult {
+	return apitypes.CellResult{Workload: cell.Ref.Workload, Mode: cell.Ref.Mode, CacheKey: shortKey(cell.Key)}
 }
 
 // execute is the singleflight leader's body: acquire an execution slot
